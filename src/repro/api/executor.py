@@ -14,17 +14,30 @@ Worker state model
 ------------------
 A worker's backend state is always reproducible as ``baseline + oplog``:
 
-* ``baseline`` — a parent-owned backend object the worker was started
-  from (under the default ``fork`` start method the child gets it by
-  address-space copy; under ``spawn`` it is pickled once at start).
+* ``baseline`` — a **state file**, ``shard-<i>-<gen>.state`` in the
+  executor's private spill directory, holding the pickled backend the
+  worker (re)starts from.  The constructor and :meth:`replace` write the
+  given backend to the next generation and drop the reference, so the
+  parent never holds a live shard.
 * ``oplog`` — the state-changing operations acknowledged since then.
   Queries are logged too: adaptive backends reorganize on the observed
   query stream, so replaying them is part of byte-identical restarts.
 
-The log is folded into a fresh baseline (deep copy + local replay) once
-it grows past a threshold, which bounds restart time.  The same replay
-produces :meth:`ProcessShardExecutor.materialize` — a plain in-process
-backend used by ``__deepcopy__`` and shard migration.
+Only workers apply operations: in the serve loop and, on restart, when
+replaying the log onto the loaded state file.  Once a shard's log
+reaches a threshold the parent **folds** it: it sends one ``checkpoint``
+request, the worker pickles its live backend into the next generation's
+file, and only after that acknowledgement does the parent switch
+``baseline`` to the new file, clear the log and delete the previous
+generation.  Folding bounds restart time without the parent ever
+replaying a query.  :meth:`ProcessShardExecutor.materialize` — the plain
+in-process backend behind ``__deepcopy__`` and shard migration — is a
+fold followed by loading the new file.
+
+The state files live only as long as the executor: they are not
+fsynced, :meth:`ProcessShardExecutor.close` removes the spill directory,
+and so does garbage collection of an executor that was never closed.
+Durability across parent crashes is the WAL layer's job.
 
 Crash semantics
 ---------------
@@ -35,16 +48,24 @@ state-changing operation fails on any shard, every worker is marked stale
 and the operation is logged nowhere, so the failed request has no effect
 on any shard — subsequent requests return exactly what a database that
 never saw the failed request would return.
+
+A fold cannot lose state either.  The parent switches files only after
+the worker's acknowledgement, so a worker that dies mid-checkpoint
+leaves the previous generation plus the full log valid; the parent
+removes the partial file.  Such a fold failure does not fail the request
+that triggered it — that request was already acknowledged and logged —
+and the next request restarts the worker from the old generation.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import Connection
@@ -58,6 +79,7 @@ import numpy as np
 from repro.api.protocol import Capabilities, QueryResult, SpatialBackend
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
+from repro.storage.wal import REAL_FS
 
 __all__ = [
     "ProcessShardExecutor",
@@ -99,13 +121,43 @@ class WorkerCrashError(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+def _write_state(path: "str | Path", backend: SpatialBackend) -> None:
+    """Pickle *backend* into the state file *path* (no fsync: see module doc)."""
+    with REAL_FS.open_write(path) as handle:
+        pickle.dump(backend, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _read_state(path: "str | Path") -> SpatialBackend:
+    """Load the backend a state file holds."""
+    with open(path, "rb") as handle:
+        backend: SpatialBackend = pickle.load(handle)
+    return backend
+
+
+def _discard(path: Path) -> None:
+    """Remove one state file if it exists."""
+    with contextlib.suppress(FileNotFoundError):
+        REAL_FS.remove(path)
+
+
+def _remove_spill_dir(path: Path, owner_pid: int) -> None:
+    """Remove an executor's spill directory, from the process that made it.
+
+    A forked worker inherits the executor object; its copy must never
+    delete the state files the parent is still serving from.
+    """
+    if os.getpid() == owner_pid:
+        with contextlib.suppress(FileNotFoundError):
+            REAL_FS.rmtree(path)
+
+
 def _apply_operation(backend: SpatialBackend, op: str, args: Tuple[Any, ...]) -> Any:
     """Dispatch one logged/requested operation onto *backend*.
 
-    Shared by the worker serve loop and the parent-side replay
-    (:meth:`ProcessShardExecutor.materialize`), which is what keeps the
-    two state constructions identical.  Capability gating happened at the
-    original call site — the proxy advertises the member backend's own
+    Runs only in a worker, shared by its serve loop and its restart
+    replay, which is what keeps the live state and the restarted state
+    identical.  Capability gating happened at the original call site —
+    the proxy advertises the member backend's own
     :class:`Capabilities`, so unsupported operations raise inside the
     backend exactly as they would in thread mode.
     """
@@ -184,13 +236,16 @@ def _attach_queries(args: Tuple[Any, ...]) -> Tuple[List[HyperRectangle], Any]:
 
 
 def _shard_worker_main(
-    connection: Connection, backend: SpatialBackend, oplog: Sequence[_OpEntry]
+    connection: Connection, state_path: "str | Path", oplog: Sequence[_OpEntry]
 ) -> None:
     """Entry point of one shard worker process.
 
-    Replays *oplog* onto *backend* (restart path), then serves requests
-    until the shutdown sentinel ``None`` or a closed pipe.
+    Loads the backend from *state_path* and replays *oplog* onto it
+    (restart path), then serves requests until the shutdown sentinel
+    ``None`` or a closed pipe.  A ``checkpoint`` request writes the live
+    backend to the state file it names.
     """
+    backend = _read_state(state_path)
     for op, args in oplog:
         _apply_operation(backend, op, args)
     while True:
@@ -211,6 +266,8 @@ def _shard_worker_main(
                     result = _apply_operation(backend, "execute", (queries[0], relation))
                 else:
                     result = _apply_operation(backend, "execute_batch", (queries, relation))
+            elif op == "checkpoint":
+                result = _write_state(args[0], backend)
             else:
                 result = _apply_operation(backend, op, args)
         except Exception as error:
@@ -236,8 +293,10 @@ def _shard_worker_main(
 class _WorkerSlot:
     """Parent-side record of one shard worker."""
 
-    #: Backend state the worker (re)starts from.
-    baseline: SpatialBackend
+    #: State file the worker (re)starts from.
+    baseline: Path
+    #: Generation number of *baseline*; the next fold writes the one after.
+    generation: int = 0
     #: Acknowledged state-changing operations since *baseline*.
     oplog: List[_OpEntry] = field(default_factory=list)
     process: Optional[BaseProcess] = None
@@ -269,9 +328,15 @@ class ProcessShardExecutor:
             method = "fork" if "fork" in available else "spawn"
         self._context: BaseContext = multiprocessing.get_context(method)
         self._dimensions = int(backends[0].dimensions)
-        self._slots: List[_WorkerSlot] = [
-            _WorkerSlot(baseline=backend) for backend in backends
-        ]
+        self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
+        self._spill_finalizer = weakref.finalize(
+            self, _remove_spill_dir, self._spill_dir, os.getpid()
+        )
+        self._slots: List[_WorkerSlot] = []
+        for index, backend in enumerate(backends):
+            path = self._state_path(index, 0)
+            _write_state(path, backend)
+            self._slots.append(_WorkerSlot(baseline=path))
         self._proxies: List["ProcessShardProxy"] = [
             ProcessShardProxy(self, index, backend)
             for index, backend in enumerate(backends)
@@ -298,20 +363,19 @@ class ProcessShardExecutor:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Shut down and join every worker process (idempotent)."""
+        """Shut down and join every worker process and remove the state
+        files (idempotent)."""
         if self._closed:
             return
         self._closed = True
         for slot in self._slots:
             self._shutdown_worker(slot, graceful=True)
+        self._spill_finalizer()
 
     def materialize(self, index: int) -> SpatialBackend:
-        """Rebuild shard *index*'s current state as a plain local backend."""
-        slot = self._slots[index]
-        backend = copy.deepcopy(slot.baseline)
-        for op, args in slot.oplog:
-            _apply_operation(backend, op, args)
-        return backend
+        """Shard *index*'s current state as a plain local backend."""
+        self._fold(index)
+        return _read_state(self._slots[index].baseline)
 
     def replace(self, index: int, backend: SpatialBackend) -> SpatialBackend:
         """Swap shard *index*'s backend for *backend* (shard migration).
@@ -321,8 +385,9 @@ class ProcessShardExecutor:
         old = self.materialize(index)
         slot = self._slots[index]
         self._shutdown_worker(slot, graceful=True)
-        slot.baseline = backend
-        slot.oplog = []
+        generation = slot.generation + 1
+        _write_state(self._state_path(index, generation), backend)
+        self._switch(index, generation)
         slot.stale = False
         self._proxies[index] = ProcessShardProxy(self, index, backend)
         return old
@@ -403,7 +468,7 @@ class ProcessShardExecutor:
         parent_end, child_end = self._context.Pipe()
         process = self._context.Process(
             target=_shard_worker_main,
-            args=(child_end, slot.baseline, tuple(slot.oplog)),
+            args=(child_end, str(slot.baseline), tuple(slot.oplog)),
             name=f"repro-shard-worker-{index}",
             daemon=True,
         )
@@ -451,12 +516,49 @@ class ProcessShardExecutor:
         self._shutdown_worker(self._slots[index], graceful=False)
         return WorkerCrashError(index, op, reason)
 
+    def _state_path(self, index: int, generation: int) -> Path:
+        return self._spill_dir / f"shard-{index}-{generation}.state"
+
+    def _switch(self, index: int, generation: int) -> None:
+        """Make *generation*'s state file shard *index*'s baseline.
+
+        The log is cleared and the previous generation's file deleted.
+        """
+        slot = self._slots[index]
+        previous = slot.baseline
+        slot.baseline = self._state_path(index, generation)
+        slot.generation = generation
+        slot.oplog = []
+        _discard(previous)
+
+    def _fold(self, index: int) -> None:
+        """Fold shard *index*'s log into a new state file its worker writes.
+
+        The parent switches to the new file only after the worker's
+        acknowledgement; on any failure the partial file is removed and
+        the previous generation plus the full log stay in force.
+        """
+        slot = self._slots[index]
+        if not slot.oplog:
+            return
+        generation = slot.generation + 1
+        path = self._state_path(index, generation)
+        try:
+            self.request(index, "checkpoint", (str(path),))
+        except BaseException:
+            _discard(path)
+            raise
+        self._switch(index, generation)
+
     def _log(self, index: int, entry: _OpEntry) -> None:
         slot = self._slots[index]
         slot.oplog.append(entry)
         if len(slot.oplog) >= _COMPACT_THRESHOLD:
-            slot.baseline = self.materialize(index)
-            slot.oplog.clear()
+            # The logged operation is already acknowledged, so a failed fold
+            # must not fail it: the old generation plus the full log stay
+            # valid, and a dead worker restarts from them on the next request.
+            with contextlib.suppress(WorkerCrashError, OSError):
+                self._fold(index)
 
     def _fan_out(
         self,

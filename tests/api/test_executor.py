@@ -6,22 +6,34 @@ the shard and operation, leaves no trace of the failed request on any
 shard, and the next request restarts the worker from ``baseline +
 oplog``.  ``test_kill_worker_at_every_request_index`` enumerates a
 worker kill before every fan-out request in a fixed script and pins the
-survivors byte-identical to an untouched thread-mode oracle.
+survivors byte-identical to an untouched thread-mode oracle.  Running it
+at fold thresholds 1, 2 and 3 lands the kills before, on and after the
+worker-side folds into new state-file generations.
 """
 
+import gc
 import os
 import signal
 import time
 from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import ShardedDatabase, WorkerCrashError
+from repro.api import ShardedDatabase, SpatialBackend, WorkerCrashError, create_backend
+from repro.api import executor as executor_module
+from repro.api.executor import START_METHOD_ENV, ProcessShardExecutor
 from repro.geometry.box import HyperRectangle
 
 DIMENSIONS = 3
 N_SHARDS = 2
+
+
+@pytest.fixture
+def fold_every_two(monkeypatch):
+    """Fold each shard's log into a new state file every two operations."""
+    monkeypatch.setattr(executor_module, "_COMPACT_THRESHOLD", 2)
 
 
 def make_boxes(count, seed=0):
@@ -80,16 +92,48 @@ def make_script():
     return steps
 
 
+def executor_of(database):
+    return database._process_executor
+
+
+def state_files(database):
+    """Names of the state files in the database's spill directory."""
+    return sorted(path.name for path in executor_of(database)._spill_dir.iterdir())
+
+
+def churn(database, oracle, seed):
+    """Queries, batches, inserts and deletes on both; answers must agree."""
+    for step, query in enumerate(make_boxes(10, seed=seed)):
+        assert run_step(database, ("query", query)) == run_step(oracle, ("query", query))
+        if step % 3 == 0:
+            batch = ("batch", make_boxes(3, seed=seed * 100 + step))
+            assert run_step(database, batch) == run_step(oracle, batch)
+        if step % 3 == 1:
+            box = make_boxes(1, seed=seed * 100 + step)[0]
+            database.insert(seed * 1_000 + step, box)
+            oracle.insert(seed * 1_000 + step, box)
+        if step % 4 == 2:
+            assert database.delete(seed * 7 + step) is oracle.delete(seed * 7 + step)
+
+
+def answers(backend, seed):
+    """Ids plus core counters of a few queries run on *backend*."""
+    return [run_step(backend, ("query", query)) for query in make_boxes(4, seed=seed)]
+
+
 class TestKillEnumeration:
     @pytest.mark.parametrize("kill_index", range(6))
-    def test_kill_worker_at_every_request_index(self, kill_index):
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 64])
+    def test_kill_worker_at_every_request_index(self, kill_index, threshold, monkeypatch):
         """Killing a worker before request *k* fails request *k* only.
 
         The failed request names the dead shard, leaves no trace, and
         every other request in the script stays byte-identical to the
         thread-mode oracle — including the retried request *k* itself,
-        served by the restarted worker.
+        served by the restarted worker.  Small fold thresholds put folds
+        (and restarts from a worker-written state file) inside the script.
         """
+        monkeypatch.setattr(executor_module, "_COMPACT_THRESHOLD", threshold)
         script = make_script()
         victim = kill_index % N_SHARDS
         database, oracle = make_pair()
@@ -141,6 +185,139 @@ class TestKillEnumeration:
         finally:
             database.close()
             oracle.close()
+
+    def test_kill_during_checkpoint(self, fold_every_two, monkeypatch, tmp_path):
+        """A worker dying mid-checkpoint fails neither the triggering
+        request nor any later one, and its partial state file is never used.
+
+        The first checkpoint any worker runs writes half a file and
+        SIGKILLs its own process; later checkpoints (restarted workers
+        included) write normally.
+        """
+        monkeypatch.setenv(START_METHOD_ENV, "fork")  # workers inherit the patch
+        parent = os.getpid()
+        crashed = tmp_path / "crashed"
+        write_state = executor_module._write_state
+
+        def dying_write_state(path, backend):
+            if os.getpid() != parent and not crashed.exists():
+                crashed.touch()
+                with open(path, "wb") as handle:
+                    handle.write(b"partial")
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_state(path, backend)
+
+        monkeypatch.setattr(executor_module, "_write_state", dying_write_state)
+        database, oracle = make_pair()  # bulk_load: one logged operation per shard
+        try:
+            query = make_boxes(1, seed=9)[0]
+            # The second logged operation folds: shard 0's worker dies while
+            # checkpointing, yet the query itself is answered.
+            assert run_step(database, ("query", query)) == run_step(oracle, ("query", query))
+            assert crashed.exists()
+            assert database.shards[0].worker_pid is None
+            assert state_files(database) == ["shard-0-0.state", "shard-1-1.state"]
+            # Shard 0 restarts from generation 0 plus the full log.
+            churn(database, oracle, seed=10)
+            assert database.n_objects == oracle.n_objects
+            assert [name.split("-")[1] for name in state_files(database)] == ["0", "1"]
+        finally:
+            database.close()
+            oracle.close()
+
+
+class TestFolds:
+    """Worker-written state files round-trip to the thread-mode oracle."""
+
+    def test_deepcopy_equals_oracle_after_folds(self, fold_every_two):
+        database, oracle = make_pair()
+        try:
+            churn(database, oracle, seed=11)
+            clone, oracle_clone = deepcopy(database), deepcopy(oracle)
+            try:
+                assert answers(clone, seed=12) == answers(oracle_clone, seed=12)
+            finally:
+                clone.close()
+                oracle_clone.close()
+            # Copying left the original serving the same state.
+            assert answers(database, seed=13) == answers(oracle, seed=13)
+        finally:
+            database.close()
+            oracle.close()
+
+    def test_materialize_equals_oracle_shards(self, fold_every_two):
+        database, oracle = make_pair()
+        try:
+            churn(database, oracle, seed=14)
+            for index in range(N_SHARDS):
+                local = executor_of(database).materialize(index)
+                expected = deepcopy(oracle.shards[index])
+                assert not isinstance(local, executor_module.ProcessShardProxy)
+                assert local.n_objects == expected.n_objects
+                assert answers(local, seed=15) == answers(expected, seed=15)
+            assert answers(database, seed=16) == answers(oracle, seed=16)
+        finally:
+            database.close()
+            oracle.close()
+
+    def test_migrate_shard_equals_oracle(self, fold_every_two):
+        database, oracle = make_pair()
+        try:
+            churn(database, oracle, seed=17)
+            old, old_oracle = database.migrate_shard(0, "ac"), oracle.migrate_shard(0, "ac")
+            assert answers(old, seed=18) == answers(old_oracle, seed=18)
+            churn(database, oracle, seed=19)
+            assert database.n_objects == oracle.n_objects
+        finally:
+            database.close()
+            oracle.close()
+
+    def test_one_state_file_per_shard(self, fold_every_two):
+        database, oracle = make_pair()
+        try:
+            for seed in range(20, 24):
+                churn(database, oracle, seed=seed)
+            assert [name.split("-")[1] for name in state_files(database)] == ["0", "1"]
+            for slot in executor_of(database)._slots:
+                assert slot.generation > 5
+                assert slot.baseline.name.endswith(f"-{slot.generation}.state")
+                assert len(slot.oplog) < 2
+        finally:
+            database.close()
+            oracle.close()
+
+    def test_executor_holds_no_backend(self):
+        backends = [create_backend("ac", DIMENSIONS) for _ in range(N_SHARDS)]
+        executor = ProcessShardExecutor(backends)
+        try:
+            for proxy, (object_id, box) in zip(executor.proxies, enumerate(make_boxes(2))):
+                proxy.insert(object_id, box)
+            held = list(vars(executor).values())
+            for slot in executor._slots:
+                assert isinstance(slot.baseline, Path)
+                held.extend(vars(slot).values())
+            for proxy in executor.proxies:
+                held.extend(vars(proxy).values())
+            assert not any(isinstance(value, SpatialBackend) for value in held)
+        finally:
+            executor.close()
+
+    def test_close_removes_spill_directory(self):
+        database, oracle = make_pair()
+        oracle.close()
+        spill = executor_of(database)._spill_dir
+        assert spill.is_dir()
+        database.close()
+        assert not spill.exists()
+
+    def test_garbage_collection_removes_spill_directory(self):
+        executor = ProcessShardExecutor([create_backend("ac", DIMENSIONS) for _ in range(N_SHARDS)])
+        executor.proxies[0].insert(1, make_boxes(1)[0])  # spawns a worker
+        spill = executor._spill_dir
+        assert spill.is_dir()
+        del executor
+        gc.collect()
+        assert not spill.exists()
 
 
 class TestLifecycle:

@@ -517,6 +517,9 @@ class TestSocketTransport:
         node = ReplicaNode(tmp_path / "replica")
         with ReplicaServer(node) as server:
             primary.attach_replica(SocketTransport(server.address))
+            # The server handles one connection at a time: release the
+            # primary's before the second attach, or it waits for a timeout.
+            primary.close()
             other = ReplicatedBackend.create(
                 ShardedDatabase.create("ac", DIMENSIONS, shards=3), tmp_path / "other"
             )
