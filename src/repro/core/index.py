@@ -122,19 +122,19 @@ class AdaptiveClusteringIndex(BackendBase):
         self._signature_constrained: Optional[np.ndarray] = None
         # Stacked candidate descriptors of every materialized cluster
         # (refined dimension + bounds), maintained alongside the signature
-        # matrix so batch execution updates all candidate query counters
-        # with one fused computation.  ``_candidate_offsets[row]`` is the
-        # first candidate row of cluster ``_signature_cluster_ids[row]``.
+        # matrix.  ``_candidate_offsets[row]`` is the first candidate row of
+        # cluster ``_signature_cluster_ids[row]``.
         # ``_candidate_query_counts`` backs every cluster's
-        # ``candidates.query_counts`` as slice views, so one vectorised add
-        # updates the counters of all explored clusters at once.
+        # ``candidates.query_counts`` as slice views, so batch execution
+        # updates the counters of the clusters a chunk explored with one
+        # vectorised add at those clusters' candidate rows.
         self._candidate_matrix: Optional[Tuple[np.ndarray, ...]] = None
         self._candidate_offsets: Optional[np.ndarray] = None
         self._candidate_query_counts: Optional[np.ndarray] = None
         # Grid decomposition of the candidate families (see
         # _ensure_candidate_grid): lets batch execution count matching
-        # candidates per (cluster, dimension) with a small histogram
-        # instead of one comparison per (candidate, query) pair.
+        # candidates per (explored cluster, dimension) with a small
+        # histogram instead of one comparison per (candidate, query) pair.
         # None = not built yet; () = verification failed, use the pairwise
         # path.
         self._candidate_grid: "Optional[Tuple[np.ndarray, ...]]" = None
@@ -684,8 +684,10 @@ class AdaptiveClusteringIndex(BackendBase):
            into a (query, object) pair list and narrows it one dimension at
            a time — pairs that fail an early dimension never pay for the
            remaining ones, unlike the dense per-cluster broadcast;
-        3. candidate query counters of every explored cluster are updated
-           with one fused computation over the stacked candidate matrix.
+        3. candidate query counters are updated for the explored clusters
+           only — the paper's ``q(s)`` rule — from one histogram over those
+           clusters, so the cost scales with the visits, not with the
+           number of clusters.
         """
         start = time.perf_counter()
         count = q_lows.shape[0]
@@ -721,9 +723,8 @@ class AdaptiveClusteringIndex(BackendBase):
         dimensions = self.dimensions
         groups_explored = explore.sum(axis=1)
 
-        cluster_list = [self._clusters[cid] for cid in self._signature_cluster_ids]
         member_lows_t, member_highs_t, member_ids, member_starts = self._ensure_member_matrix()
-        sizes = np.empty(len(cluster_list), dtype=np.int64)
+        sizes = np.empty(len(self._signature_cluster_ids), dtype=np.int64)
         sizes[:-1] = member_starts[1:] - member_starts[:-1]
         sizes[-1] = member_ids.shape[0] - member_starts[-1]
         objects_verified = explore.astype(np.int64) @ sizes
@@ -735,7 +736,8 @@ class AdaptiveClusteringIndex(BackendBase):
         explored_cols = np.flatnonzero(visits_per_col)
         self._storage.on_cluster_reads_bulk(sizes[explored_cols], visits_per_col[explored_cols])
         for column in explored_cols:
-            cluster_list[int(column)].query_count += int(visits_per_col[column])
+            cluster = self._clusters[self._signature_cluster_ids[int(column)]]
+            cluster.query_count += int(visits_per_col[column])
 
         # ---- member verification: (query, object) pair cascade ----------
         keep_visit = sizes[visit_col] > 0
@@ -795,10 +797,11 @@ class AdaptiveClusteringIndex(BackendBase):
                 pair_obj = pair_obj.take(survivors)
                 pair_q = pair_q.take(survivors)
 
-        # ---- candidate statistics: fused bulk update --------------------
+        # ---- candidate statistics: histogram over the explored clusters --
         grid = self._ensure_candidate_grid()
         cand_dim, cand_sl, cand_sh, cand_el, cand_eh = self._candidate_matrix
         cand_offsets = self._candidate_offsets
+        cand_counts = cand_offsets[1:] - cand_offsets[:-1]
         if grid is not None and visit_col.size and int(cand_offsets[-1]):
             grid_s_low, grid_s_high, grid_e_low, grid_e_high, cell_prefix, cell_suffix = grid
             factor = self._config.division_factor
@@ -817,18 +820,28 @@ class AdaptiveClusteringIndex(BackendBase):
                 pass_a = (grid_s_low[visit_col] <= visit_q_lows).sum(axis=2)
                 pass_b = (grid_e_high[visit_col] >= visit_q_highs).sum(axis=2)
                 cells = cell_prefix
-            rows_cd = visit_col[:, None] * dimensions + np.arange(dimensions)[None, :]
+            # Histogram rows are indexed by the compact position of each
+            # explored cluster (visit_col is ascending, so each explored
+            # column's visits form one run); unexplored clusters would only
+            # contribute zeros.
+            n_explored = explored_cols.size
+            block = dimensions * side * side
+            compact = np.repeat(np.arange(n_explored), visits_per_col[explored_cols])
+            rows_cd = compact[:, None] * dimensions + np.arange(dimensions)[None, :]
             code = (rows_cd * side + pass_a) * side + pass_b
-            hist = np.bincount(
-                code.ravel(),
-                minlength=len(self._signature_cluster_ids) * dimensions * side * side,
-            ).reshape(-1, side, side)
+            hist = np.bincount(code.ravel(), minlength=n_explored * block).reshape(-1, side, side)
             # S[tA, tB] = number of visits with pass_a >= tA and pass_b >= tB.
             suffix = hist[:, ::-1, ::-1].cumsum(axis=1).cumsum(axis=2)[:, ::-1, ::-1]
-            self._candidate_query_counts += np.ascontiguousarray(suffix).reshape(-1).take(cells)
+            # Candidate rows of the explored clusters, and their cells moved
+            # from cluster-row to compact-row histogram blocks.
+            lengths = cand_counts[explored_cols]
+            cand_idx = self._ragged_arange(lengths, cand_offsets[explored_cols])
+            shift = np.repeat((explored_cols - np.arange(n_explored)) * block, lengths)
+            counts = np.ascontiguousarray(suffix).reshape(-1).take(cells.take(cand_idx) - shift)
+            # cand_idx is unique, so the fancy add writes each counter once.
+            self._candidate_query_counts[cand_idx] += counts
             with_cands = np.zeros(0, dtype=bool)
         else:
-            cand_counts = cand_offsets[1:] - cand_offsets[:-1]
             with_cands = cand_counts[visit_col] > 0
         if with_cands.any():
             c_col = visit_col[with_cands]
@@ -1018,8 +1031,8 @@ class AdaptiveClusteringIndex(BackendBase):
         piece ``j``.  Matching a candidate against a query therefore only
         depends on how many grid values pass a one-sided comparison, which
         lets batch execution count matching candidates with a per
-        (cluster, dimension) histogram over those pass counts instead of
-        one comparison per (candidate, query) pair.
+        (explored cluster, dimension) histogram over those pass counts
+        instead of one comparison per (candidate, query) pair.
 
         Returns ``(s_low, s_high, e_low, e_high, cell_prefix, cell_suffix)``
         — the grid value arrays of shape ``(C, Nd, f)`` and the
@@ -1027,6 +1040,9 @@ class AdaptiveClusteringIndex(BackendBase):
         (INTERSECTS / CONTAINS) and suffix-oriented (CONTAINED_BY)
         relations — or ``None`` when the stored candidate bounds do not
         exactly reproduce the grid (the pairwise path is used instead).
+        The cells index a ``(C · Nd, f+1, f+1)`` histogram by cluster row;
+        batch execution builds the histogram for the explored rows only
+        and shifts each explored cluster's cells onto its compact row.
         """
         if self._candidate_grid is None:
             self._candidate_grid = self._build_candidate_grid()

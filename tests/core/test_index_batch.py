@@ -11,6 +11,7 @@ individual ``insert`` calls.
 from __future__ import annotations
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
-from repro.workloads.queries import generate_query_workload
+from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
 
 RELATIONS = [
@@ -149,9 +150,10 @@ class TestQueryBatchEquivalence:
         loop_index = copy.deepcopy(base)
         batch_index = copy.deepcopy(base)
         query = workload.queries[0]
-        loop_ids = loop_index.query(query, workload.relation)
-        (batch_ids,) = batch_index.query_batch([query], workload.relation)
-        assert np.array_equal(loop_ids, batch_ids)
+        loop_results, loop_execs = run_loop(loop_index, [query], workload.relation)
+        batch_results, batch_execs = run_batch(batch_index, [query], workload.relation)
+        assert_same_outcome(loop_results, loop_execs, batch_results, batch_execs)
+        assert_same_index_state(loop_index, batch_index)
 
     def test_dimension_mismatch_rejected(self, dataset, workload):
         index = build_adapted_index(dataset, workload)
@@ -165,6 +167,122 @@ class TestQueryBatchEquivalence:
         index = build_adapted_index(dataset, workload)
         results = index.query_batch(workload.queries[:3], "intersects")
         assert len(results) == 3
+
+
+def build_many_cluster_index(relation):
+    """An index adapted to small queries of *relation*: many clusters, each
+    query exploring only a few of them.  Returns ``(index, queries)``."""
+    data = generate_uniform_dataset(6000, 4, seed=81, max_extent=0.15)
+    if relation is SpatialRelation.CONTAINS:
+        # Small boxes rather than points, so that swapping a query's low and
+        # high bound changes the outcome.
+        points = generate_point_queries(60, 4, seed=82).queries
+        queries = [
+            HyperRectangle(np.clip(p.lows - 0.005, 0.0, 1.0), np.clip(p.highs + 0.005, 0.0, 1.0))
+            for p in points
+        ]
+    else:
+        queries = generate_query_workload(
+            data, 60, target_selectivity=0.001, relation=relation, seed=82
+        ).queries
+    config = AdaptiveClusteringConfig(
+        cost=CostParameters.for_scenario("memory", data.dimensions),
+        reorganization_period=20,
+    )
+    index = AdaptiveClusteringIndex(config=config)
+    data.load_into(index)
+    for i in range(400):
+        index.execute(queries[i % len(queries)], relation)
+    return index, queries
+
+
+def run_single_query_batches(index, queries, relation):
+    """Execute *queries* as a stream of one-query ``execute_batch`` calls."""
+    results, executions = [], []
+    for query in queries:
+        (result,) = index.execute_batch([query], relation)
+        results.append(result.ids)
+        executions.append(result.execution)
+    return results, executions
+
+
+class TestSingleQueryStream:
+    """One-query batches — the serving path's common case — over an index
+    with many clusters, where each query explores a small, scattered subset
+    of them and only those clusters' candidate counters may change."""
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_matches_per_query_loop_across_reorganizations(self, relation):
+        base, queries = build_many_cluster_index(relation)
+        assert base.n_clusters >= 40
+        loop_index = copy.deepcopy(base)
+        batch_index = copy.deepcopy(base)
+
+        loop_results, loop_execs = run_loop(loop_index, queries, relation)
+        batch_results, batch_execs, scattered = [], [], 0
+        for query in queries:
+            rows = [
+                batch_index._signature_cluster_ids.index(cluster.cluster_id)
+                for cluster in batch_index._matching_clusters(query, relation)
+            ]
+            scattered += rows != list(range(rows[0], rows[0] + len(rows)))
+            (result,) = batch_index.execute_batch([query], relation)
+            batch_results.append(result.ids)
+            batch_execs.append(result.execution)
+
+        assert loop_index.reorganization_count > base.reorganization_count
+        for execution in batch_execs:
+            assert execution.groups_explored < execution.signature_checks / 4
+        # Mostly the explored rows are not one contiguous block, so compact
+        # histogram rows really differ from the cluster rows.
+        assert scattered > len(queries) // 2
+        assert_same_outcome(loop_results, loop_execs, batch_results, batch_execs)
+        assert_same_index_state(loop_index, batch_index)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda index: pickle.loads(pickle.dumps(index))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_counter_views_survive_copies(self, duplicate):
+        relation = SpatialRelation.INTERSECTS
+        base, queries = build_many_cluster_index(relation)
+        # A batch first, so the copied index carries a built counter buffer
+        # and candidate grid whose views the copy breaks.
+        base.execute_batch(queries[:5], relation)
+        loop_index = copy.deepcopy(base)
+        batch_index = duplicate(base)
+
+        loop_results, loop_execs = run_loop(loop_index, queries, relation)
+        batch_results, batch_execs = run_single_query_batches(batch_index, queries, relation)
+
+        assert batch_index._candidate_views_valid()
+        assert_same_outcome(loop_results, loop_execs, batch_results, batch_execs)
+        assert_same_index_state(loop_index, batch_index)
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_pairwise_fallback_matches_loop(self, relation, monkeypatch):
+        builds = []
+
+        def no_grid(index):
+            builds.append(index)
+            return ()
+
+        monkeypatch.setattr(AdaptiveClusteringIndex, "_build_candidate_grid", no_grid)
+        base, queries = build_many_cluster_index(relation)
+        loop_index = copy.deepcopy(base)
+        batch_index = copy.deepcopy(base)
+
+        loop_results, loop_execs = run_loop(loop_index, queries, relation)
+        batch_results, batch_execs = run_single_query_batches(batch_index, queries, relation)
+        more_results, more_execs = run_batch(batch_index, queries, relation)
+        loop_more, loop_more_execs = run_loop(loop_index, queries, relation)
+
+        assert builds, "the pairwise branch never ran"
+        assert batch_index._ensure_candidate_grid() is None
+        assert_same_outcome(loop_results, loop_execs, batch_results, batch_execs)
+        assert_same_outcome(loop_more, loop_more_execs, more_results, more_execs)
+        assert_same_index_state(loop_index, batch_index)
 
 
 class TestBulkLoadRouting:
