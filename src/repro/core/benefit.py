@@ -22,6 +22,11 @@ Both functions compare the expected per-query execution time *before* and
   Merging saves the signature check and the exploration set-up of ``c``,
   but its ``n_c`` members are now scanned whenever the parent is accessed
   even if ``c`` would not have been.
+
+Each equation is written once, in its vectorised form: the reorganizer
+screens every cluster of a pass with one array evaluation, and the scalar
+functions used by the per-cluster decisions wrap the same code, so both
+see bit-identical benefits.
 """
 
 from __future__ import annotations
@@ -57,25 +62,28 @@ def materialization_benefit(
         query time (equation 3 of the paper).
     """
     _validate_probability(candidate_access_probability, "candidate_access_probability")
-    _validate_probability(cluster_access_probability, "cluster_access_probability")
     if candidate_object_count < 0:
         raise ValueError("candidate_object_count must be non-negative")
-    saved_verification = (
-        (cluster_access_probability - candidate_access_probability)
-        * candidate_object_count
-        * cost.C
+    benefits = materialization_benefits(
+        np.array([candidate_access_probability]),
+        np.array([candidate_object_count]),
+        cluster_access_probability,
+        cost,
     )
-    added_exploration = candidate_access_probability * cost.B
-    return saved_verification - added_exploration - cost.A
+    return float(benefits[0])
 
 
 def materialization_benefits(
     candidate_access_probabilities: np.ndarray,
     candidate_object_counts: np.ndarray,
-    cluster_access_probability: float,
+    cluster_access_probability: "float | np.ndarray",
     cost: CostParameters,
 ) -> np.ndarray:
-    """Vectorised :func:`materialization_benefit` over a whole candidate set."""
+    """Equation 3 over whole arrays of candidates.
+
+    *cluster_access_probability* is one ``p_c`` for all candidates, or one
+    per candidate (candidates of many clusters evaluated together).
+    """
     _validate_probability(cluster_access_probability, "cluster_access_probability")
     probabilities = np.asarray(candidate_access_probabilities, dtype=np.float64)
     counts = np.asarray(candidate_object_counts, dtype=np.float64)
@@ -111,19 +119,33 @@ def merging_benefit(
         Positive when the merge is expected to improve the average query
         time (equation 5 of the paper).
     """
-    _validate_probability(cluster_access_probability, "cluster_access_probability")
-    _validate_probability(parent_access_probability, "parent_access_probability")
     if cluster_object_count < 0:
         raise ValueError("cluster_object_count must be non-negative")
-    saved_overhead = cost.A + cluster_access_probability * cost.B
-    added_verification = (
-        (parent_access_probability - cluster_access_probability)
-        * cluster_object_count
-        * cost.C
+    benefits = merging_benefits(
+        np.array([cluster_access_probability]),
+        np.array([cluster_object_count]),
+        np.array([parent_access_probability]),
+        cost,
     )
+    return float(benefits[0])
+
+
+def merging_benefits(
+    cluster_access_probabilities: np.ndarray,
+    cluster_object_counts: np.ndarray,
+    parent_access_probabilities: np.ndarray,
+    cost: CostParameters,
+) -> np.ndarray:
+    """Equation 5 over whole arrays of (cluster, parent) pairs."""
+    _validate_probability(cluster_access_probabilities, "cluster_access_probability")
+    _validate_probability(parent_access_probabilities, "parent_access_probability")
+    probabilities = np.asarray(cluster_access_probabilities, dtype=np.float64)
+    counts = np.asarray(cluster_object_counts, dtype=np.float64)
+    saved_overhead = cost.A + probabilities * cost.B
+    added_verification = (parent_access_probabilities - probabilities) * counts * cost.C
     return saved_overhead - added_verification
 
 
-def _validate_probability(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
+def _validate_probability(value: "float | np.ndarray", name: str) -> None:
+    if not np.all((0.0 <= value) & (value <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")

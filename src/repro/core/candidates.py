@@ -20,14 +20,38 @@ candidates column-wise in NumPy arrays and evaluates all of them at once.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.clustering_function import CandidateDescriptor, ClusteringFunction
+from repro.core.clustering_function import (
+    CandidateColumns,
+    CandidateDescriptor,
+    ClusteringFunction,
+)
 from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
+
+
+def access_probabilities(
+    query_counts: np.ndarray, windows: "int | np.ndarray", smoothing: float = 0.0
+) -> np.ndarray:
+    """Estimated access probabilities of candidates observed over *windows* queries.
+
+    ``p(s) = (q(s) + smoothing) / (window + smoothing)``, clipped to
+    ``[0, 1]``, and 0 for an empty window — the optional additive smoothing
+    keeps rarely observed candidates from being estimated at exactly zero,
+    which would make their materialization look free to the benefit
+    function.  *windows* is one window for all candidates or one per
+    candidate (candidates of many clusters evaluated together).
+    """
+    windows = np.asarray(windows)
+    probabilities = np.divide(
+        query_counts + smoothing,
+        windows + smoothing,
+        out=np.zeros(np.shape(query_counts), dtype=np.float64),
+        where=windows > 0,
+    )
+    return np.clip(probabilities, 0.0, 1.0)
 
 
 class CandidateSet:
@@ -44,18 +68,10 @@ class CandidateSet:
         "query_counts",
     )
 
-    def __init__(
-        self,
-        parent_signature: ClusterSignature,
-        descriptors: Sequence[CandidateDescriptor],
-    ) -> None:
+    def __init__(self, parent_signature: ClusterSignature, columns: CandidateColumns) -> None:
         self.parent_signature = parent_signature
-        count = len(descriptors)
-        self.dimension = np.array([d.dimension for d in descriptors], dtype=np.int64)
-        self.start_low = np.array([d.start_low for d in descriptors], dtype=np.float64)
-        self.start_high = np.array([d.start_high for d in descriptors], dtype=np.float64)
-        self.end_low = np.array([d.end_low for d in descriptors], dtype=np.float64)
-        self.end_high = np.array([d.end_high for d in descriptors], dtype=np.float64)
+        self.dimension, self.start_low, self.start_high, self.end_low, self.end_high = columns
+        count = len(self.dimension)
         #: ``n(s)`` per candidate — member objects matching the candidate.
         self.object_counts = np.zeros(count, dtype=np.int64)
         #: ``q(s)`` per candidate — queries matching the candidate.
@@ -71,8 +87,7 @@ class CandidateSet:
         clustering_function: ClusteringFunction,
     ) -> "CandidateSet":
         """Build the candidate set of a cluster from its signature."""
-        descriptors = clustering_function.candidates_for(parent_signature)
-        return cls(parent_signature, descriptors)
+        return cls(parent_signature, clustering_function.candidate_columns(parent_signature))
 
     def __len__(self) -> int:
         return int(self.dimension.shape[0])
@@ -222,17 +237,8 @@ class CandidateSet:
         return self.descriptor(index).signature(self.parent_signature)
 
     def access_probabilities(self, total_queries: int, smoothing: float = 0.0) -> np.ndarray:
-        """Estimated access probability of every candidate.
-
-        ``p(s) = (q(s) + smoothing) / (total_queries + smoothing)`` — the
-        optional additive smoothing keeps rarely observed candidates from
-        being estimated at exactly zero, which would make their
-        materialization look free to the benefit function.
-        """
-        if total_queries <= 0:
-            return np.zeros(len(self), dtype=np.float64)
-        probabilities = (self.query_counts + smoothing) / (float(total_queries) + smoothing)
-        return np.clip(probabilities, 0.0, 1.0)
+        """Estimated access probability of every candidate (see :func:`access_probabilities`)."""
+        return access_probabilities(self.query_counts, total_queries, smoothing)
 
     def validate_counts(self) -> None:
         """Raise :class:`AssertionError` if any maintained count went negative.

@@ -50,14 +50,59 @@ class CandidateDescriptor:
         return parent.with_dimension(self.dimension, self.variation())
 
 
-def _split_interval(low: float, high: float, parts: int) -> List[Tuple[float, float]]:
-    """Split ``[low, high]`` into *parts* consecutive sub-intervals."""
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if high < low:
-        raise ValueError("high must be >= low")
-    edges = np.linspace(low, high, parts + 1)
-    return [(float(edges[i]), float(edges[i + 1])) for i in range(parts)]
+#: A candidate family as columns: ``(dimension, start_low, start_high,
+#: end_low, end_high)``, one entry per candidate.
+CandidateColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def interval_edges(low: np.ndarray, high: np.ndarray, parts: int) -> np.ndarray:
+    """Edges splitting every interval ``[low, high]`` into *parts* consecutive pieces.
+
+    Returns an array of shape ``low.shape + (parts + 1,)`` whose every row is
+    bit-identical to ``np.linspace(low[k], high[k], parts + 1)``, including
+    NumPy's zero-step branch ``(y / parts) * delta`` for (near-)zero widths.
+    The branch is chosen per row: a single vectorised ``linspace`` call
+    switches every row to it as soon as one row has zero width.
+    """
+    low = np.asarray(low, dtype=np.float64)
+    high = np.asarray(high, dtype=np.float64)
+    delta = (high - low)[..., None]
+    steps = np.arange(parts + 1, dtype=np.float64)
+    step = delta / parts
+    edges = np.where(step == 0, (steps / parts) * delta, steps * step)
+    edges += low[..., None]
+    edges[..., -1] = high
+    return edges
+
+
+def _parent_combinations(
+    signature: ClusterSignature, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``[d, i, j]``: start piece i with end piece j reproduces dimension d's constraint."""
+    start_is_parent = (starts[:, :-1] == signature.start_low[:, None]) & (
+        starts[:, 1:] == signature.start_high[:, None]
+    )
+    end_is_parent = (ends[:, :-1] == signature.end_low[:, None]) & (
+        ends[:, 1:] == signature.end_high[:, None]
+    )
+    return start_is_parent[:, :, None] & end_is_parent[:, None, :]
+
+
+def _repeated_combinations(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``[d, i, j]``: combination (i, j) of dimension d equals an earlier one.
+
+    Combinations are ordered by start piece, then end piece.
+    """
+    dimensions, pieces = starts.shape[0], starts.shape[1] - 1
+    same_start = (starts[:, :-1, None] == starts[:, None, :-1]) & (
+        starts[:, 1:, None] == starts[:, None, 1:]
+    )
+    same_end = (ends[:, :-1, None] == ends[:, None, :-1]) & (ends[:, 1:, None] == ends[:, None, 1:])
+    combos = pieces * pieces
+    same = (same_start[:, :, None, :, None] & same_end[:, None, :, None, :]).reshape(
+        dimensions, combos, combos
+    )
+    return np.tril(same, -1).any(axis=-1).reshape(dimensions, pieces, pieces)
 
 
 class ClusteringFunction:
@@ -87,61 +132,52 @@ class ClusteringFunction:
         self.domain_high = domain_high
 
     # ------------------------------------------------------------------
-    def candidates_for(self, signature: ClusterSignature) -> List[CandidateDescriptor]:
-        """Return the candidate descriptors for *signature*.
+    def candidate_columns(self, signature: ClusterSignature) -> CandidateColumns:
+        """Return the candidate family of *signature* as columns.
 
-        The result excludes combinations that cannot host a valid interval
-        and combinations identical to the parent's own constraint (which
-        would produce a candidate equal to the cluster itself).
+        Candidates are ordered by refined dimension, then start piece, then
+        end piece.  The family excludes combinations that cannot host a
+        valid interval, combinations identical to the parent's own
+        constraint (which would produce a candidate equal to the cluster
+        itself) and repeats of an earlier combination of the same
+        dimension (coinciding pieces of a zero-width variation interval).
         """
-        descriptors: List[CandidateDescriptor] = []
-        for dimension in range(signature.dimensions):
-            descriptors.extend(self._candidates_for_dimension(signature, dimension))
-        return descriptors
+        factor = self.division_factor
+        starts = interval_edges(signature.start_low, signature.start_high, factor)
+        ends = interval_edges(signature.end_low, signature.end_high, factor)
+        # Every grid below is indexed [dimension, start piece i, end piece j].
+        # A member interval [a, b] needs a <= b; impossible when the whole
+        # start piece lies at or above the end piece (the paper treats
+        # pieces as half-open, which is what the strict comparison
+        # reproduces and what yields the f(f+1)/2 count of footnote 3).
+        keep = starts[:, :-1, None] < ends[:, None, 1:]
+        # A combination can only equal the parent's constraint or repeat an
+        # earlier one when some interval has coinciding edges (zero-width
+        # pieces), which strictly increasing edges rule out.
+        if not (np.all(starts[:, 1:] > starts[:, :-1]) and np.all(ends[:, 1:] > ends[:, :-1])):
+            keep &= ~_parent_combinations(signature, starts, ends)
+            keep &= ~_repeated_combinations(starts, ends)
+        dims, start_piece, end_piece = np.nonzero(keep)
+        return (
+            dims.astype(np.int64),
+            starts[dims, start_piece],
+            starts[dims, start_piece + 1],
+            ends[dims, end_piece],
+            ends[dims, end_piece + 1],
+        )
+
+    def candidates_for(self, signature: ClusterSignature) -> List[CandidateDescriptor]:
+        """Return the candidate descriptors for *signature* (see :meth:`candidate_columns`)."""
+        return [
+            CandidateDescriptor(
+                int(dimension), float(s_low), float(s_high), float(e_low), float(e_high)
+            )
+            for dimension, s_low, s_high, e_low, e_high in zip(*self.candidate_columns(signature))
+        ]
 
     def candidate_signatures(self, signature: ClusterSignature) -> List[ClusterSignature]:
         """Full signatures of every candidate (convenience for tests/examples)."""
         return [descriptor.signature(signature) for descriptor in self.candidates_for(signature)]
-
-    # ------------------------------------------------------------------
-    def _candidates_for_dimension(
-        self, signature: ClusterSignature, dimension: int
-    ) -> List[CandidateDescriptor]:
-        parent = signature.variation(dimension)
-        start_parts = _split_interval(parent.start_low, parent.start_high, self.division_factor)
-        end_parts = _split_interval(parent.end_low, parent.end_high, self.division_factor)
-
-        parent_key = parent.as_tuple()
-        seen: set = set()
-        descriptors: List[CandidateDescriptor] = []
-        for s_low, s_high in start_parts:
-            for e_low, e_high in end_parts:
-                # A member interval [a, b] needs a <= b; impossible when the
-                # whole start sub-interval lies at or above the end
-                # sub-interval (the paper treats sub-intervals as half-open,
-                # which is what the strict comparison reproduces and what
-                # yields the f(f+1)/2 count of footnote 3).
-                if s_low >= e_high:
-                    continue
-                key = (s_low, s_high, e_low, e_high)
-                if key == parent_key:
-                    # Refining a zero-width variation interval can reproduce
-                    # the parent's own constraint; such a candidate would be
-                    # indistinguishable from the cluster itself.
-                    continue
-                if key in seen:
-                    continue
-                seen.add(key)
-                descriptors.append(
-                    CandidateDescriptor(
-                        dimension=dimension,
-                        start_low=s_low,
-                        start_high=s_high,
-                        end_low=e_low,
-                        end_high=e_high,
-                    )
-                )
-        return descriptors
 
     # ------------------------------------------------------------------
     def max_candidates_per_dimension(self) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.api.protocol import BackendBase, Capabilities, QueryResult
 from repro.core.cluster import Cluster
-from repro.core.clustering_function import ClusteringFunction
+from repro.core.clustering_function import ClusteringFunction, interval_edges
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import StorageScenario
 from repro.core.reorganize import ReorganizationReport, Reorganizer
@@ -54,10 +54,11 @@ from repro.storage import StorageBackend, storage_for_scenario
 #: of the chunk explores every object).
 _PAIR_BUDGET = 8_000_000
 
-#: Reorganization passes changing at most this many clusters update the
-#: stacked matrices row-by-row; larger passes invalidate them wholesale and
-#: rebuild lazily (cheaper than many incremental splices).
-_INCREMENTAL_REORG_LIMIT = 8
+#: Signature bounds, in the order of the stacked signature matrix.
+_SIGNATURE_BOUNDS = ("start_low", "start_high", "end_low", "end_high")
+
+#: Candidate columns, in the order of the stacked candidate matrix.
+_CANDIDATE_COLUMNS = ("dimension",) + _SIGNATURE_BOUNDS
 
 
 class AdaptiveClusteringIndex(BackendBase):
@@ -113,21 +114,26 @@ class AdaptiveClusteringIndex(BackendBase):
         self._total_queries = 0
         self._queries_since_reorganization = 0
         self._reorganization_count = 0
-        # Stacked signature arrays of every materialized cluster, maintained
-        # incrementally (row append on materialize, row delete on merge) so
-        # queries and insertions match all cluster signatures with a handful
-        # of vectorised comparisons instead of a per-cluster Python loop.
+        # Stacked signature arrays of every materialized cluster, one row
+        # per cluster in ascending id order, so queries and insertions match
+        # all cluster signatures with a handful of vectorised comparisons
+        # instead of a per-cluster Python loop.  Built lazily; clusters
+        # created or merged away later reach every stacked matrix in one
+        # splice (see _splice_signature_rows): at the end of a
+        # reorganization pass, or at the next use after a direct call.
         self._signature_matrix: Optional[Tuple[np.ndarray, ...]] = None
         self._signature_cluster_ids: List[int] = []
         self._signature_constrained: Optional[np.ndarray] = None
-        # Stacked candidate descriptors of every materialized cluster
-        # (refined dimension + bounds), maintained alongside the signature
-        # matrix.  ``_candidate_offsets[row]`` is the first candidate row of
-        # cluster ``_signature_cluster_ids[row]``.
-        # ``_candidate_query_counts`` backs every cluster's
-        # ``candidates.query_counts`` as slice views, so batch execution
-        # updates the counters of the clusters a chunk explored with one
-        # vectorised add at those clusters' candidate rows.
+        # True when clusters were created or removed since the last splice.
+        self._signature_rows_stale = False
+        # Stacked candidate columns (refined dimension + bounds) of every
+        # cluster, in signature-matrix row order.
+        # ``_candidate_offsets[row]`` is the first candidate row of cluster
+        # ``_signature_cluster_ids[row]``.  ``_candidate_query_counts``
+        # backs every cluster's ``candidates.query_counts`` as slice views,
+        # so batch execution updates the counters of the clusters a chunk
+        # explored with one vectorised add at those clusters' candidate
+        # rows.  Copies re-establish the views in __setstate__.
         self._candidate_matrix: Optional[Tuple[np.ndarray, ...]] = None
         self._candidate_offsets: Optional[np.ndarray] = None
         self._candidate_query_counts: Optional[np.ndarray] = None
@@ -135,6 +141,8 @@ class AdaptiveClusteringIndex(BackendBase):
         # _ensure_candidate_grid): lets batch execution count matching
         # candidates per (explored cluster, dimension) with a small
         # histogram instead of one comparison per (candidate, query) pair.
+        # Per-cluster rows plus each candidate's histogram cell relative to
+        # its own cluster, so a splice appends rows without renumbering.
         # None = not built yet; () = verification failed, use the pairwise
         # path.
         self._candidate_grid: "Optional[Tuple[np.ndarray, ...]]" = None
@@ -142,9 +150,6 @@ class AdaptiveClusteringIndex(BackendBase):
         # contiguous per dimension so the verification cascade gathers from
         # cache-friendly rows.  Invalidated by any member mutation.
         self._member_matrix: Optional[Tuple[np.ndarray, ...]] = None
-        # True while a reorganization pass runs: per-row matrix maintenance
-        # is deferred and applied once at the end of the pass.
-        self._matrix_maintenance_suspended = False
 
         root = self._new_cluster(ClusterSignature.root(config.dimensions), parent=None)
         self._root_id = root.cluster_id
@@ -341,11 +346,12 @@ class AdaptiveClusteringIndex(BackendBase):
 
         if self.n_clusters == 1:
             assignments = np.zeros(len(pairs), dtype=np.int64)
+            row_ids = [self._root_id]
         else:
             assignments = self._route_objects_bulk(lows, highs)
+            row_ids = self._signature_cluster_ids
         for row_index in np.unique(assignments):
-            target = self._clusters[self._signature_cluster_ids[int(row_index)]] \
-                if self._signature_cluster_ids else self.root
+            target = self._clusters[row_ids[int(row_index)]]
             member_rows = assignments == row_index
             count = int(member_rows.sum())
             target.add_objects_bulk(ids[member_rows], lows[member_rows], highs[member_rows])
@@ -461,9 +467,7 @@ class AdaptiveClusteringIndex(BackendBase):
         ``bincount`` per unambiguous stretch — only genuinely tied rows pay
         a Python-level step.
         """
-        if self._signature_matrix is None:
-            self._rebuild_signature_matrix()
-        start_low, start_high, end_low, end_high = self._signature_matrix
+        start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
         n_rows = len(self._signature_cluster_ids)
         root_row = self._signature_cluster_ids.index(self._root_id)
         probabilities = self._cluster_access_probabilities()
@@ -613,20 +617,6 @@ class AdaptiveClusteringIndex(BackendBase):
         q_lows = np.vstack([query.lows for query in query_list])
         q_highs = np.vstack([query.highs for query in query_list])
 
-        if self._signature_matrix is not None and not self._candidate_views_valid():
-            # Copies (deepcopy / pickle) break the aliasing between the
-            # shared counter buffer and the per-cluster views; re-adopt the
-            # current per-cluster values (row layout is unchanged, so the
-            # other cached matrices stay valid).
-            self._adopt_candidate_query_counts(
-                np.concatenate(
-                    [
-                        self._clusters[cid].candidates.query_counts
-                        for cid in self._signature_cluster_ids
-                    ]
-                )
-            )
-
         position = 0
         period = self._config.reorganization_period
         chunked = self._config.auto_reorganize and period > 0
@@ -691,9 +681,7 @@ class AdaptiveClusteringIndex(BackendBase):
         """
         start = time.perf_counter()
         count = q_lows.shape[0]
-        if self._signature_matrix is None:
-            self._rebuild_signature_matrix()
-        start_low, start_high, end_low, end_high = self._signature_matrix
+        start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
         # Prune all clusters for all queries, one dimension at a time on a
         # cache-resident (queries, clusters) mask.
         explore: Optional[np.ndarray] = None
@@ -820,26 +808,38 @@ class AdaptiveClusteringIndex(BackendBase):
                 pass_a = (grid_s_low[visit_col] <= visit_q_lows).sum(axis=2)
                 pass_b = (grid_e_high[visit_col] >= visit_q_highs).sum(axis=2)
                 cells = cell_prefix
-            # Histogram rows are indexed by the compact position of each
-            # explored cluster (visit_col is ascending, so each explored
+            # Histogram over (f - pass_a, f - pass_b, explored row · Nd +
+            # dimension).  Explored rows are the compact positions of the
+            # explored clusters (visit_col is ascending, so each explored
             # column's visits form one run); unexplored clusters would only
-            # contribute zeros.
+            # contribute zeros.  Prefix sums along the two leading axes, as
+            # adds of whole contiguous rows, turn it into
+            # at_least[f - tA, f - tB, row] = number of visits with
+            # pass_a >= tA and pass_b >= tB.
             n_explored = explored_cols.size
-            block = dimensions * side * side
-            compact = np.repeat(np.arange(n_explored), visits_per_col[explored_cols])
-            rows_cd = compact[:, None] * dimensions + np.arange(dimensions)[None, :]
-            code = (rows_cd * side + pass_a) * side + pass_b
-            hist = np.bincount(code.ravel(), minlength=n_explored * block).reshape(-1, side, side)
-            # S[tA, tB] = number of visits with pass_a >= tA and pass_b >= tB.
-            suffix = hist[:, ::-1, ::-1].cumsum(axis=1).cumsum(axis=2)[:, ::-1, ::-1]
-            # Candidate rows of the explored clusters, and their cells moved
-            # from cluster-row to compact-row histogram blocks.
+            width = n_explored * dimensions
+            compact = np.repeat(np.arange(n_explored) * dimensions, visits_per_col[explored_cols])
+            code = ((factor - pass_a) * side + (factor - pass_b)) * width + (
+                compact[:, None] + np.arange(dimensions)
+            )
+            at_least = np.bincount(code.ravel(), minlength=side * side * width)
+            plane = at_least.reshape(side, side, width)
+            for step in range(1, side):
+                plane[step] += plane[step - 1]
+            for step in range(1, side):
+                plane[:, step] += plane[:, step - 1]
+            # Candidate rows of the explored clusters, and their histogram
+            # entries: the candidate's cell, its cluster's explored row and
+            # its refined dimension.
             lengths = cand_counts[explored_cols]
             cand_idx = self._ragged_arange(lengths, cand_offsets[explored_cols])
-            shift = np.repeat((explored_cols - np.arange(n_explored)) * block, lengths)
-            counts = np.ascontiguousarray(suffix).reshape(-1).take(cells.take(cand_idx) - shift)
+            entries = (
+                cells.take(cand_idx) * width
+                + np.repeat(np.arange(n_explored) * dimensions, lengths)
+                + cand_dim.take(cand_idx)
+            )
             # cand_idx is unique, so the fancy add writes each counter once.
-            self._candidate_query_counts[cand_idx] += counts
+            self._candidate_query_counts[cand_idx] += at_least.take(entries)
             with_cands = np.zeros(0, dtype=bool)
         else:
             with_cands = cand_counts[visit_col] > 0
@@ -907,6 +907,7 @@ class AdaptiveClusteringIndex(BackendBase):
         self._signature_matrix = None
         self._signature_cluster_ids = []
         self._signature_constrained = None
+        self._signature_rows_stale = False
         self._candidate_matrix = None
         self._candidate_offsets = None
         self._candidate_query_counts = None
@@ -916,39 +917,92 @@ class AdaptiveClusteringIndex(BackendBase):
     def _invalidate_member_matrix(self) -> None:
         self._member_matrix = None
 
+    def _ensure_signature_matrix(self) -> Tuple[np.ndarray, ...]:
+        """The stacked signature arrays, built or spliced up to date."""
+        if self._signature_matrix is None:
+            self._rebuild_signature_matrix()
+        elif self._signature_rows_stale:
+            self._splice_signature_rows()
+        return self._signature_matrix
+
     def _rebuild_signature_matrix(self) -> None:
-        cluster_ids = sorted(self._clusters)
-        start_low = np.vstack([self._clusters[cid].signature.start_low for cid in cluster_ids])
-        start_high = np.vstack([self._clusters[cid].signature.start_high for cid in cluster_ids])
-        end_low = np.vstack([self._clusters[cid].signature.end_low for cid in cluster_ids])
-        end_high = np.vstack([self._clusters[cid].signature.end_high for cid in cluster_ids])
-        self._signature_matrix = (start_low, start_high, end_low, end_high)
-        self._signature_cluster_ids = cluster_ids
+        """Stack every cluster from scratch: one splice onto empty matrices."""
+        no_rows = np.empty((0, self.dimensions), dtype=np.float64)
+        no_values = np.empty(0, dtype=np.float64)
+        self._signature_matrix = (no_rows,) * 4
+        self._signature_cluster_ids = []
+        self._signature_constrained = np.empty(0, dtype=np.int64)
+        self._candidate_matrix = (np.empty(0, dtype=np.int64),) + (no_values,) * 4
+        self._candidate_offsets = np.zeros(1, dtype=np.int64)
+        self._candidate_query_counts = np.empty(0, dtype=np.int64)
+        self._candidate_grid = None
+        self._splice_signature_rows()
+
+    def _splice_signature_rows(self) -> None:
+        """Apply every cluster created or removed since the last splice at once.
+
+        Rows of clusters merged away are dropped from the signature rows,
+        the candidate columns and offsets, the shared ``q(s)`` buffer and
+        the candidate grid; clusters created since are appended.  Cluster
+        ids grow monotonically, so the rows stay in ascending id order.
+        Kept rows are copied, not recomputed, so the cost is one pass over
+        the stacked arrays plus the work for the new clusters.
+        """
+        row_ids = self._signature_cluster_ids
+        last = row_ids[-1] if row_ids else -1
+        keep = np.fromiter(
+            (cluster_id in self._clusters for cluster_id in row_ids), dtype=bool, count=len(row_ids)
+        )
+        added = [self._clusters[cid] for cid in sorted(self._clusters) if cid > last]
+        new_sets = [cluster.candidates for cluster in added]
+        counts = np.diff(self._candidate_offsets)
+        new_counts = np.fromiter((len(cands) for cands in new_sets), np.int64, len(new_sets))
+        cand_keep = np.repeat(keep, counts)
+
+        new_signatures = tuple(
+            np.vstack([old[:0]] + [getattr(cluster.signature, bound) for cluster in added])
+            for old, bound in zip(self._signature_matrix, _SIGNATURE_BOUNDS)
+        )
+        new_candidates = tuple(
+            np.concatenate([old[:0]] + [getattr(cands, column) for cands in new_sets])
+            for old, column in zip(self._candidate_matrix, _CANDIDATE_COLUMNS)
+        )
+        self._signature_matrix = tuple(
+            np.concatenate([old[keep], new])
+            for old, new in zip(self._signature_matrix, new_signatures)
+        )
+        kept_ids = [cluster_id for cluster_id, kept in zip(row_ids, keep) if kept]
+        self._signature_cluster_ids = kept_ids + [cluster.cluster_id for cluster in added]
         # Vectorised equivalent of len(signature.constrained_dimensions())
         # per cluster (for the unit domain [0, 1]).
+        start_low, start_high, end_low, end_high = new_signatures
         unconstrained = (
-            (start_low <= 0.0)
-            & (start_high >= 1.0)
-            & (end_low <= 0.0)
-            & (end_high >= 1.0)
+            (start_low <= 0.0) & (start_high >= 1.0) & (end_low <= 0.0) & (end_high >= 1.0)
         )
-        self._signature_constrained = (~unconstrained).sum(axis=1).astype(np.int64)
-        candidate_sets = [self._clusters[cid].candidates for cid in cluster_ids]
-        counts = np.array([len(cands) for cands in candidate_sets], dtype=np.int64)
-        offsets = np.zeros(len(cluster_ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        self._signature_constrained = np.concatenate(
+            [self._signature_constrained[keep], (~unconstrained).sum(axis=1).astype(np.int64)]
+        )
+        self._candidate_matrix = tuple(
+            np.concatenate([old[cand_keep], new])
+            for old, new in zip(self._candidate_matrix, new_candidates)
+        )
+        offsets = np.zeros(len(self._signature_cluster_ids) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([counts[keep], new_counts]), out=offsets[1:])
         self._candidate_offsets = offsets
-        self._candidate_matrix = (
-            np.concatenate([cands.dimension for cands in candidate_sets]),
-            np.concatenate([cands.start_low for cands in candidate_sets]),
-            np.concatenate([cands.start_high for cands in candidate_sets]),
-            np.concatenate([cands.end_low for cands in candidate_sets]),
-            np.concatenate([cands.end_high for cands in candidate_sets]),
-        )
+        if self._candidate_grid:
+            new_grid = self._build_candidate_grid(new_signatures, new_candidates, new_counts)
+            masks = (keep,) * 4 + (cand_keep,) * 2
+            self._candidate_grid = new_grid and tuple(
+                np.concatenate([old[mask], new])
+                for old, mask, new in zip(self._candidate_grid, masks, new_grid)
+            )
         self._adopt_candidate_query_counts(
-            np.concatenate([cands.query_counts for cands in candidate_sets])
+            np.concatenate(
+                [self._candidate_query_counts[cand_keep]]
+                + [cands.query_counts for cands in new_sets]
+            )
         )
-        self._candidate_grid = None
+        self._signature_rows_stale = False
         self._member_matrix = None
 
     def _adopt_candidate_query_counts(self, stacked: np.ndarray) -> None:
@@ -964,18 +1018,18 @@ class AdaptiveClusteringIndex(BackendBase):
         for row, cluster_id in enumerate(self._signature_cluster_ids):
             cluster = self._clusters.get(cluster_id)
             if cluster is None:
-                # Deferred maintenance after a reorganization pass: rows of
-                # other merged-away clusters are still pending removal.
+                # A copy taken before a pending splice: the row of a
+                # merged-away cluster has not been dropped yet.
                 continue
             cluster.candidates.query_counts = stacked[int(offsets[row]) : int(offsets[row + 1])]
 
     def _candidate_views_valid(self) -> bool:
         """True while every cluster's ``q(s)`` vector still aliases the buffer.
 
-        Copies of an index (``copy.deepcopy``, pickling) duplicate the
-        views into independent arrays; detecting that here lets the copy
-        lazily re-adopt a fresh shared buffer instead of silently updating
-        counters nobody reads.
+        An invariant of the stacked matrices (checked by
+        :meth:`check_invariants`): if a view were replaced by an
+        independent array, batch execution would update counters nobody
+        reads.
         """
         stacked = self._candidate_query_counts
         if stacked is None:
@@ -983,8 +1037,8 @@ class AdaptiveClusteringIndex(BackendBase):
         for cluster_id in self._signature_cluster_ids:
             cluster = self._clusters.get(cluster_id)
             if cluster is None:
-                # Mid-removal: the merged cluster is deregistered but its
-                # matrix row is still present; its counters no longer matter.
+                # Merged away since the last splice; its counters no longer
+                # matter.
                 continue
             counts = cluster.candidates.query_counts
             if counts.base is not stacked and counts is not stacked:
@@ -1035,55 +1089,67 @@ class AdaptiveClusteringIndex(BackendBase):
         instead of one comparison per (candidate, query) pair.
 
         Returns ``(s_low, s_high, e_low, e_high, cell_prefix, cell_suffix)``
-        — the grid value arrays of shape ``(C, Nd, f)`` and the
-        per-candidate flattened histogram cells for the prefix-oriented
-        (INTERSECTS / CONTAINS) and suffix-oriented (CONTAINED_BY)
-        relations — or ``None`` when the stored candidate bounds do not
-        exactly reproduce the grid (the pairwise path is used instead).
-        The cells index a ``(C · Nd, f+1, f+1)`` histogram by cluster row;
-        batch execution builds the histogram for the explored rows only
-        and shifts each explored cluster's cells onto its compact row.
+        — the grid value arrays of shape ``(C, Nd, f)`` and, per candidate,
+        its cell ``a · (f+1) + b`` in the ``(f+1, f+1)`` plane of a
+        histogram over ``(f - pass_a, f - pass_b)``, for the
+        prefix-oriented (INTERSECTS / CONTAINS) and suffix-oriented
+        (CONTAINED_BY) relations — or ``None`` when the stored candidate
+        bounds do not exactly reproduce the grid (the pairwise path is used
+        instead).  The cells do not depend on the cluster's row, so a
+        splice appends the rows of new clusters as they are; batch
+        execution adds the explored row and the refined dimension.
         """
         if self._candidate_grid is None:
-            self._candidate_grid = self._build_candidate_grid()
+            self._candidate_grid = self._build_candidate_grid(
+                self._signature_matrix, self._candidate_matrix, np.diff(self._candidate_offsets)
+            )
         return self._candidate_grid or None
 
-    def _build_candidate_grid(self) -> Tuple[np.ndarray, ...]:
+    def _build_candidate_grid(
+        self,
+        signatures: Tuple[np.ndarray, ...],
+        candidates: Tuple[np.ndarray, ...],
+        counts: np.ndarray,
+    ) -> Tuple[np.ndarray, ...]:
+        """Grid rows of the clusters with these stacked signatures and candidate columns.
+
+        *counts* holds each cluster's number of candidates.  Returns ``()``
+        when the candidate bounds do not reproduce the grid.
+        """
         factor = self._config.division_factor
-        dimensions = self.dimensions
-        start_low, start_high, end_low, end_high = self._signature_matrix
-        s_edges = np.linspace(start_low, start_high, factor + 1, axis=-1)
-        e_edges = np.linspace(end_low, end_high, factor + 1, axis=-1)
+        start_low, start_high, end_low, end_high = signatures
+        # The clustering function's own edges, so the grid reproduces the
+        # candidate bounds bit for bit.
+        s_edges = interval_edges(start_low, start_high, factor)
+        e_edges = interval_edges(end_low, end_high, factor)
         grid_s_low = np.ascontiguousarray(s_edges[..., :factor])
         grid_s_high = np.ascontiguousarray(s_edges[..., 1:])
         grid_e_low = np.ascontiguousarray(e_edges[..., :factor])
         grid_e_high = np.ascontiguousarray(e_edges[..., 1:])
 
-        cand_dim, cand_sl, cand_sh, cand_el, cand_eh = self._candidate_matrix
-        offsets = self._candidate_offsets
-        counts = offsets[1:] - offsets[:-1]
-        cand_row = np.repeat(np.arange(len(self._signature_cluster_ids)), counts)
-        if cand_dim.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (grid_s_low, grid_s_high, grid_e_low, grid_e_high, empty, empty)
-
+        cand_dim, cand_sl, cand_sh, cand_el, cand_eh = candidates
+        cand_row = np.repeat(np.arange(len(counts)), counts)
+        every = np.arange(cand_dim.size)
         start_grid = grid_s_low[cand_row, cand_dim]  # (n_cand, f)
         end_grid = grid_e_high[cand_row, cand_dim]
         i_idx = np.minimum((start_grid < cand_sl[:, None]).sum(axis=1), factor - 1)
         j_idx = np.minimum((end_grid < cand_eh[:, None]).sum(axis=1), factor - 1)
         exact = (
-            np.all(start_grid[np.arange(cand_dim.size), i_idx] == cand_sl)
+            np.all(start_grid[every, i_idx] == cand_sl)
             and np.all(grid_s_high[cand_row, cand_dim, i_idx] == cand_sh)
             and np.all(grid_e_low[cand_row, cand_dim, j_idx] == cand_el)
-            and np.all(end_grid[np.arange(cand_dim.size), j_idx] == cand_eh)
+            and np.all(end_grid[every, j_idx] == cand_eh)
         )
         if not exact:  # pragma: no cover - defensive (custom clustering functions)
             return ()
 
+        # Candidate (i, j) matches when pass_a >= tA and pass_b >= tB, read
+        # from the histogram's prefix sums at (f - tA, f - tB): tA = i + 1,
+        # tB = f - j for the prefix-oriented relations, tA = f - i,
+        # tB = j + 1 for the suffix-oriented one.
         side = factor + 1
-        base = (cand_row * dimensions + cand_dim) * side * side
-        cell_prefix = base + (i_idx + 1) * side + (factor - j_idx)
-        cell_suffix = base + (factor - i_idx) * side + (j_idx + 1)
+        cell_prefix = (factor - 1 - i_idx) * side + j_idx
+        cell_suffix = i_idx * side + (factor - 1 - j_idx)
         return (
             grid_s_low,
             grid_s_high,
@@ -1093,91 +1159,6 @@ class AdaptiveClusteringIndex(BackendBase):
             cell_suffix,
         )
 
-    def _append_signature_row(self, cluster: Cluster) -> None:
-        """Incremental matrix maintenance: a cluster was materialized.
-
-        Cluster ids grow monotonically, so appending keeps the matrix rows
-        in ascending id order (the order ``_rebuild_signature_matrix``
-        produces).
-        """
-        self._member_matrix = None
-        if self._matrix_maintenance_suspended or self._signature_matrix is None:
-            return
-        if not self._candidate_views_valid():
-            # A copy of the index (deepcopy / pickle) decoupled the shared
-            # counter buffer from the per-cluster views; the buffer can no
-            # longer be trusted as a value source, so rebuild from the
-            # clusters (the new cluster is already registered).
-            self._rebuild_signature_matrix()
-            return
-        signature = cluster.signature
-        start_low, start_high, end_low, end_high = self._signature_matrix
-        self._signature_matrix = (
-            np.vstack([start_low, signature.start_low[None, :]]),
-            np.vstack([start_high, signature.start_high[None, :]]),
-            np.vstack([end_low, signature.end_low[None, :]]),
-            np.vstack([end_high, signature.end_high[None, :]]),
-        )
-        self._signature_cluster_ids.append(cluster.cluster_id)
-        self._signature_constrained = np.append(
-            self._signature_constrained,
-            len(signature.constrained_dimensions()),
-        )
-        candidates = cluster.candidates
-        dimension, start_low, start_high, end_low, end_high = self._candidate_matrix
-        self._candidate_matrix = (
-            np.concatenate([dimension, candidates.dimension]),
-            np.concatenate([start_low, candidates.start_low]),
-            np.concatenate([start_high, candidates.start_high]),
-            np.concatenate([end_low, candidates.end_low]),
-            np.concatenate([end_high, candidates.end_high]),
-        )
-        self._candidate_offsets = np.append(
-            self._candidate_offsets,
-            self._candidate_offsets[-1] + len(candidates),
-        )
-        self._adopt_candidate_query_counts(
-            np.concatenate(
-                [self._candidate_query_counts, candidates.query_counts]
-            )
-        )
-        self._candidate_grid = None
-
-    def _remove_signature_row(self, cluster_id: int) -> None:
-        """Incremental matrix maintenance: a cluster was merged away."""
-        self._member_matrix = None
-        if self._matrix_maintenance_suspended or self._signature_matrix is None:
-            return
-        if not self._candidate_views_valid():
-            # See _append_signature_row: a decoupled buffer holds stale
-            # values; rebuild from the clusters (the merged cluster is
-            # already deregistered).
-            self._rebuild_signature_matrix()
-            return
-        try:
-            row = self._signature_cluster_ids.index(cluster_id)
-        except ValueError:  # pragma: no cover - defensive
-            self._invalidate_signature_matrix()
-            return
-        keep = np.ones(len(self._signature_cluster_ids), dtype=bool)
-        keep[row] = False
-        start_low, start_high, end_low, end_high = self._signature_matrix
-        self._signature_matrix = (start_low[keep], start_high[keep], end_low[keep], end_high[keep])
-        del self._signature_cluster_ids[row]
-        self._signature_constrained = self._signature_constrained[keep]
-        offsets = self._candidate_offsets
-        first, last = int(offsets[row]), int(offsets[row + 1])
-        self._candidate_matrix = tuple(
-            np.concatenate([column[:first], column[last:]])
-            for column in self._candidate_matrix
-        )
-        stacked = self._candidate_query_counts
-        self._candidate_offsets = np.concatenate(
-            [offsets[:row + 1], offsets[row + 2:] - (last - first)]
-        )
-        self._adopt_candidate_query_counts(np.concatenate([stacked[:first], stacked[last:]]))
-        self._candidate_grid = None
-
     def _matching_clusters(self, query: HyperRectangle, relation: SpatialRelation) -> List[Cluster]:
         """Clusters whose signature is matched by the query (Fig. 5, step 2).
 
@@ -1185,9 +1166,7 @@ class AdaptiveClusteringIndex(BackendBase):
         evaluated with vectorised comparisons over the stacked signature
         arrays of all materialized clusters.
         """
-        if self._signature_matrix is None:
-            self._rebuild_signature_matrix()
-        start_low, start_high, end_low, end_high = self._signature_matrix
+        start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
         q_lows = query.lows
         q_highs = query.highs
         if relation is SpatialRelation.INTERSECTS:
@@ -1215,37 +1194,19 @@ class AdaptiveClusteringIndex(BackendBase):
     def reorganize(self) -> ReorganizationReport:
         """Run one merge / split reorganization pass immediately.
 
-        Matrix maintenance is suspended for the duration of the pass and
-        applied once at the end: a pass with no structural change keeps
-        every cached matrix, a small pass (the steady state of an adapted
-        index) patches the matrices row-by-row, and a churn-heavy pass
-        invalidates them wholesale so the next query rebuilds from scratch
-        (cheaper than many incremental splices).
+        The reorganizer screens every cluster with one vectorised benefit
+        evaluation and runs the paper's per-cluster procedure only where
+        it could act.  The clusters the pass creates and removes reach the
+        stacked matrices in one splice at its end, so a pass costs in
+        proportion to what it changes.
         """
         # The reorganizer reads candidate object counts, which lazily
         # loaded clusters only gain once their member arrays are resident.
         for cluster in self._clusters.values():
             cluster.ensure_materialized()
-        had_matrix = self._signature_matrix is not None
-        self._matrix_maintenance_suspended = True
-        try:
-            report = self._reorganizer.reorganize(self)
-        finally:
-            self._matrix_maintenance_suspended = False
-        changes = len(report.created_cluster_ids) + len(report.removed_cluster_ids)
-        if changes:
-            self._invalidate_member_matrix()
-            if not had_matrix or changes > _INCREMENTAL_REORG_LIMIT:
-                self._invalidate_signature_matrix()
-            else:
-                created = set(report.created_cluster_ids)
-                for cluster_id in report.removed_cluster_ids:
-                    if cluster_id not in created:
-                        self._remove_signature_row(cluster_id)
-                for cluster_id in report.created_cluster_ids:
-                    cluster = self._clusters.get(cluster_id)
-                    if cluster is not None:
-                        self._append_signature_row(cluster)
+        report = self._reorganizer.reorganize(self)
+        if self._signature_matrix is not None:
+            self._ensure_signature_matrix()
         self._queries_since_reorganization = 0
         self._reorganization_count += 1
         return report
@@ -1271,7 +1232,8 @@ class AdaptiveClusteringIndex(BackendBase):
         if parent is not None:
             parent.add_child(cluster.cluster_id)
         self._storage.on_cluster_created(cluster.cluster_id, 0)
-        self._append_signature_row(cluster)
+        self._signature_rows_stale = True
+        self._invalidate_member_matrix()
         return cluster
 
     def _materialize_candidate(self, cluster: Cluster, candidate_index: int) -> Cluster:
@@ -1308,7 +1270,8 @@ class AdaptiveClusteringIndex(BackendBase):
         del self._clusters[cluster.cluster_id]
         self._storage.on_cluster_removed(cluster.cluster_id)
         self._storage.on_cluster_resized(parent.cluster_id, parent.n_objects)
-        self._remove_signature_row(cluster.cluster_id)
+        self._signature_rows_stale = True
+        self._invalidate_member_matrix()
         return parent
 
     # ==================================================================
@@ -1397,32 +1360,21 @@ class AdaptiveClusteringIndex(BackendBase):
             )
         if self._root_id not in self._clusters:
             raise AssertionError("the root cluster disappeared")
+        if self._candidate_query_counts is not None and not self._candidate_views_valid():
+            raise AssertionError("candidate q(s) vectors no longer alias the shared buffer")
 
-    def __deepcopy__(self, memo: Dict[int, object]) -> "AdaptiveClusteringIndex":
-        """Deep copy that restores the shared candidate-counter buffer.
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Restore a pickled or deep-copied index.
 
-        A naive deep copy duplicates the per-cluster ``query_counts`` views
-        into independent arrays, decoupling them from the copied shared
-        buffer; re-adopting here keeps the batch engine's single-add update
-        path valid on copies.
+        Copying (``pickle``, ``copy.deepcopy``, a process shard worker
+        loading its state) duplicates the per-cluster ``q(s)`` views into
+        independent arrays; pointing them back into the copied shared
+        buffer keeps the batch engine's single-add update path valid on
+        the copy.
         """
-        import copy as _copy
-
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            setattr(clone, key, _copy.deepcopy(value, memo))
-        if clone._signature_matrix is not None and not clone._candidate_views_valid():
-            clone._adopt_candidate_query_counts(
-                np.concatenate(
-                    [
-                        clone._clusters[cid].candidates.query_counts
-                        for cid in clone._signature_cluster_ids
-                    ]
-                )
-            )
-        return clone
+        self.__dict__.update(state)
+        if self._candidate_query_counts is not None:
+            self._adopt_candidate_query_counts(self._candidate_query_counts)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -11,6 +11,19 @@ and, for each of them, applies the paper's `ReorganizeCluster` procedure
    re-evaluating the benefits after every materialization because moving
    objects changes the remaining candidates' statistics.
 
+Both actions are rare in an adapted index: a steady-state pass over
+hundreds of clusters merges or splits a few percent of them.  A pass
+therefore starts with one vectorised **screen** that evaluates, from the
+statistics at the start of the pass, every cluster's merging benefit
+(equation 5) and its best eligible materialization benefit (equation 3) over
+stacked per-cluster and per-candidate arrays.  The per-cluster procedure
+above runs only for clusters that could act, plus clusters whose parent an
+earlier merge of the same pass replaced.  Nothing else a decision reads
+changes before the cluster's turn — merges only move objects up into
+clusters already visited, splits only into clusters created by the pass —
+so the outcome is the one a pass running the procedure for every cluster
+would produce.
+
 The mechanics of moving objects between clusters live in
 :class:`~repro.core.index.AdaptiveClusteringIndex`
 (``_materialize_candidate`` / ``_merge_into_parent``); this module only
@@ -21,11 +34,12 @@ independently of the data movement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.core.benefit import materialization_benefits, merging_benefit
+from repro.core.benefit import materialization_benefits, merging_benefit, merging_benefits
+from repro.core.candidates import access_probabilities
 from repro.core.config import AdaptiveClusteringConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,17 +82,76 @@ class Reorganizer:
         report = ReorganizationReport(clusters_before=index.n_clusters)
         # Snapshot: clusters created during this pass have no statistics yet
         # and are not reconsidered until the next pass.
-        existing_ids = list(index.cluster_ids_top_down())
-        for cluster_id in existing_ids:
-            cluster = index.get_cluster(cluster_id)
-            if cluster is None:
+        clusters = [index.get_cluster(cluster_id) for cluster_id in index.cluster_ids_top_down()]
+        parents = [cluster.parent_id for cluster in clusters]
+        can_act = self._screen(index, clusters)
+        for cluster, parent_id, acts in zip(clusters, parents, can_act):
+            if index.get_cluster(cluster.cluster_id) is None:
                 # Removed by an earlier merge during this same pass.
                 continue
-            self._reorganize_cluster(index, cluster, report)
+            if acts or cluster.parent_id != parent_id:
+                self._reorganize_cluster(index, cluster, report)
         report.clusters_after = index.n_clusters
         if self.config.reset_statistics_on_reorganization:
             index.reset_statistics()
         return report
+
+    def _screen(
+        self, index: "AdaptiveClusteringIndex", clusters: Sequence["Cluster"]
+    ) -> np.ndarray:
+        """Which of *clusters* could merge or split, from their current statistics.
+
+        One array evaluation of the benefits :meth:`_merge_is_beneficial`
+        and :meth:`_best_candidate` compute per cluster, with the same
+        formulas and operation order.  It leaves out only the check against
+        existing children and the ``max_clusters`` cap, which can merely
+        veto a split, so a cluster screened out would not act.
+        """
+        total = index.total_queries
+        count = len(clusters)
+        row_of = {cluster.cluster_id: row for row, cluster in enumerate(clusters)}
+        probabilities = np.fromiter(
+            (cluster.access_probability(total) for cluster in clusters), np.float64, count
+        )
+        sizes = np.fromiter((cluster.n_objects for cluster in clusters), np.int64, count)
+
+        parents = np.fromiter(
+            (row_of.get(cluster.parent_id, -1) for cluster in clusters), np.int64, count
+        )
+        has_parent = parents >= 0
+        can_act = np.zeros(count, dtype=bool)
+        can_act[has_parent] = (
+            merging_benefits(
+                probabilities[has_parent],
+                sizes[has_parent],
+                probabilities[parents[has_parent]],
+                self.config.cost,
+            )
+            > 0.0
+        )
+
+        # Only candidates at or above the size floor can be eligible.
+        object_counts = np.concatenate([cluster.candidates.object_counts for cluster in clusters])
+        rows = np.flatnonzero(object_counts >= self.config.min_cluster_objects)
+        lengths = np.fromiter((len(cluster.candidates) for cluster in clusters), np.int64, count)
+        owner = np.repeat(np.arange(count), lengths).take(rows)
+        object_counts = object_counts.take(rows)
+        query_counts = np.concatenate(
+            [cluster.candidates.query_counts for cluster in clusters]
+        ).take(rows)
+        windows = np.fromiter(
+            (total - cluster.creation_query for cluster in clusters), np.int64, count
+        ).take(owner)
+        host_probabilities = probabilities.take(owner)
+        candidate_probabilities = np.minimum(
+            access_probabilities(query_counts, windows, self.config.probability_smoothing),
+            host_probabilities,
+        )
+        benefits = materialization_benefits(
+            candidate_probabilities, object_counts, host_probabilities, self.config.cost
+        )
+        can_split = np.bincount(owner[benefits > 0.0], minlength=count) > 0
+        return can_act | (can_split & (sizes > 0))
 
     # ------------------------------------------------------------------
     def _reorganize_cluster(

@@ -7,6 +7,7 @@ from repro.core.benefit import (
     materialization_benefit,
     materialization_benefits,
     merging_benefit,
+    merging_benefits,
 )
 from repro.core.cost_model import CostParameters
 
@@ -75,6 +76,17 @@ class TestMaterializationBenefit:
             )
             assert vector[i] == pytest.approx(scalar)
 
+    def test_per_candidate_cluster_probabilities(self, memory_cost, rng):
+        """Candidates of many clusters at once equal the scalar benefit bit for bit."""
+        hosts = rng.random(40)
+        probabilities = hosts * rng.random(40)
+        counts = rng.integers(0, 2000, 40)
+        vector = materialization_benefits(probabilities, counts, hosts, memory_cost)
+        for i in range(40):
+            assert vector[i] == materialization_benefit(
+                float(probabilities[i]), int(counts[i]), float(hosts[i]), memory_cost
+            )
+
     def test_vectorised_shape_mismatch(self, memory_cost):
         with pytest.raises(ValueError):
             materialization_benefits(np.zeros(3), np.zeros(4), 0.5, memory_cost)
@@ -105,6 +117,20 @@ class TestMergingBenefit:
         assert merge_gain < 0
         # The two gains are exact opposites (split then merge is a no-op).
         assert split_gain == pytest.approx(-merge_gain)
+
+    def test_vectorised_equals_scalar(self, memory_cost, rng):
+        children = rng.random(40)
+        parents = rng.random(40)
+        counts = rng.integers(0, 2000, 40)
+        vector = merging_benefits(children, counts, parents, memory_cost)
+        for i in range(40):
+            assert vector[i] == merging_benefit(
+                float(children[i]), int(counts[i]), float(parents[i]), memory_cost
+            )
+        with pytest.raises(ValueError):
+            merging_benefits(
+                np.array([0.5, 1.5]), np.array([1, 1]), np.array([0.5, 0.5]), memory_cost
+            )
 
     def test_invalid_inputs(self, memory_cost):
         with pytest.raises(ValueError):

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering_function import CandidateDescriptor, ClusteringFunction
+from repro.core.clustering_function import (
+    CandidateDescriptor,
+    ClusteringFunction,
+    interval_edges,
+)
 from repro.core.signature import ClusterSignature, VariationInterval
 from repro.geometry.box import HyperRectangle
 
@@ -123,3 +127,113 @@ class TestDescriptor:
         signature = descriptor.signature(parent)
         assert signature.variation(1) == descriptor.variation()
         assert signature.variation(0) == parent.variation(0)
+
+
+# ----------------------------------------------------------------------
+# The array generator against the per-dimension loop it replaced
+# ----------------------------------------------------------------------
+def reference_candidates(signature, factor):
+    """Frozen copy of the per-dimension generator (one ``np.linspace`` per interval)."""
+
+    def split_interval(low, high):
+        edges = np.linspace(low, high, factor + 1)
+        return [(float(edges[i]), float(edges[i + 1])) for i in range(factor)]
+
+    found = []
+    for dimension in range(signature.dimensions):
+        parent = signature.variation(dimension)
+        parent_key = parent.as_tuple()
+        seen = set()
+        for s_low, s_high in split_interval(parent.start_low, parent.start_high):
+            for e_low, e_high in split_interval(parent.end_low, parent.end_high):
+                if s_low >= e_high:
+                    continue
+                key = (s_low, s_high, e_low, e_high)
+                if key == parent_key or key in seen:
+                    continue
+                seen.add(key)
+                found.append((dimension,) + key)
+    return found
+
+
+def random_signature(rng, dimensions):
+    """A signature mixing ordinary, zero-width, coinciding and near-denormal intervals."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    rows = []
+    for _ in range(dimensions):
+        low, high = np.sort(rng.random(2))
+        kind = rng.integers(0, 6)
+        if kind == 0:  # zero-width start and end intervals
+            rows.append((low, low, high, high))
+        elif kind == 1:  # start and end intervals coincide
+            rows.append((low, high, low, high))
+        elif kind == 2:  # widths of a few ulps
+            start_width = np.spacing(low) * rng.integers(0, 4)
+            end_width = np.spacing(high) * rng.integers(0, 9)
+            rows.append((low, low + start_width, high, high + end_width))
+        elif kind == 3:  # a point: every piece coincides
+            rows.append((low, low, low, low))
+        elif kind == 4:  # denormal widths at zero
+            rows.append((0.0, tiny * rng.integers(0, 3), tiny, tiny * rng.integers(1, 5)))
+        else:
+            rows.append(tuple(np.sort(rng.random(4))))
+    bounds = np.array(rows, dtype=np.float64)
+    return ClusterSignature.from_arrays(bounds[:, 0], bounds[:, 1], bounds[:, 2], bounds[:, 3])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestArrayGenerator:
+    @pytest.mark.parametrize("factor", [2, 3, 4, 5, 6])
+    def test_root_matches_reference_loop(self, factor):
+        signature = ClusterSignature.root(4)
+        self.assert_matches_reference(ClusteringFunction(factor), signature)
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 5, 6])
+    def test_random_signatures_match_reference_loop(self, factor):
+        rng = np.random.default_rng(1000 + factor)
+        function = ClusteringFunction(factor)
+        for _ in range(60):
+            signature = random_signature(rng, int(rng.integers(1, 6)))
+            self.assert_matches_reference(function, signature)
+
+    def test_refined_signatures_match_reference_loop(self):
+        """Candidates of candidates, several levels down."""
+        function = ClusteringFunction(4)
+        signature = ClusterSignature.root(3)
+        for level in range(6):
+            self.assert_matches_reference(function, signature)
+            descriptors = function.candidates_for(signature)
+            signature = descriptors[(7 * level + 3) % len(descriptors)].signature(signature)
+
+    @staticmethod
+    def assert_matches_reference(function, signature):
+        expected = reference_candidates(signature, function.division_factor)
+        columns = function.candidate_columns(signature)
+        assert columns[0].dtype == np.int64
+        assert [int(d) for d in columns[0]] == [row[0] for row in expected]
+        for position, column in enumerate(columns[1:], start=1):
+            assert column.dtype == np.float64
+            np.testing.assert_array_equal(
+                bits(column), bits([row[position] for row in expected])
+            )
+        descriptors = function.candidates_for(signature)
+        assert [
+            (d.dimension, d.start_low, d.start_high, d.end_low, d.end_high) for d in descriptors
+        ] == expected
+
+    def test_interval_edges_equal_linspace_per_row(self):
+        rng = np.random.default_rng(7)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        lows = np.concatenate([rng.random(20), [0.3, 0.0, 0.0, 0.5]])
+        widths = np.concatenate([rng.random(20) * 0.5, [0.0, tiny, 3 * tiny, 0.0]])
+        highs = lows + widths
+        for parts in (2, 3, 4, 7):
+            edges = interval_edges(lows, highs, parts)
+            assert edges.shape == (lows.size, parts + 1)
+            for row in range(lows.size):
+                np.testing.assert_array_equal(
+                    bits(edges[row]), bits(np.linspace(lows[row], highs[row], parts + 1))
+                )

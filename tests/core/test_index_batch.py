@@ -264,7 +264,7 @@ class TestSingleQueryStream:
     def test_pairwise_fallback_matches_loop(self, relation, monkeypatch):
         builds = []
 
-        def no_grid(index):
+        def no_grid(index, *stacked):
             builds.append(index)
             return ()
 

@@ -1,5 +1,9 @@
 """Unit tests for the reorganizer's decision policy in isolation."""
 
+import copy
+
+import numpy as np
+
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import CostParameters, SystemCostConstants
 from repro.core.index import AdaptiveClusteringIndex
@@ -131,3 +135,46 @@ class TestMergeDecision:
         # All statistics windows restart after the pass.
         for cluster in index.clusters():
             assert cluster.query_count == 0
+
+
+class TestScreen:
+    def test_cluster_whose_parent_merged_away_is_reconsidered(self):
+        """A screened-out cluster is judged again against the parent it inherits mid-pass.
+
+        Hierarchy root -> g -> p -> c: the empty, hot p merges into the cold
+        g; c does not profit from merging into p, but does from merging into
+        g once that is its parent.
+        """
+        config = AdaptiveClusteringConfig(
+            cost=CostParameters.memory_defaults(1),
+            auto_reorganize=False,
+            min_cluster_objects=10**9,  # no candidate is ever eligible
+        )
+        index = AdaptiveClusteringIndex(config=config)
+        for object_id in range(1000):  # inside c's signature
+            low = object_id / 1e5
+            index.insert(object_id, HyperRectangle([low], [low + 0.001]))
+        for object_id in range(1000, 2000):  # inside g's signature only
+            low = 0.07 + (object_id - 1000) / 2e4
+            index.insert(object_id, HyperRectangle([low], [low + 0.1]))
+        g = index._materialize_candidate(index.root, 0)
+        p = index._materialize_candidate(g, 0)
+        c = index._materialize_candidate(p, 0)
+        assert (g.n_objects, p.n_objects, c.n_objects) == (1000, 0, 1000)
+        # Access probabilities: g 0.1, p 0.9, c 0.45.
+        index._total_queries = 1000
+        for cluster, created, explored in ((g, 0, 100), (p, 900, 90), (c, 900, 45)):
+            cluster.creation_query = created
+            cluster.query_count = explored
+
+        clusters = [index.get_cluster(cid) for cid in index.cluster_ids_top_down()]
+        assert clusters == [index.root, g, p, c]
+        assert list(index._reorganizer._screen(index, clusters)) == [False, False, True, False]
+        scalar = copy.deepcopy(index)
+        scalar._reorganizer._screen = lambda target, found: np.ones(len(found), dtype=bool)
+
+        report = index.reorganize()
+        assert report.removed_cluster_ids == [p.cluster_id, c.cluster_id]
+        assert report == scalar.reorganize()
+        assert c.cluster_id not in index._signature_cluster_ids
+        index.check_invariants()
