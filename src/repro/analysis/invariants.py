@@ -32,6 +32,14 @@ def _in_repro(path: PurePath) -> bool:
     return "repro" in path.parts
 
 
+def _repro_module(path: PurePath) -> str:
+    """The path below the innermost ``repro`` directory (``"api/server.py"``)."""
+    parts = path.parts
+    if "repro" not in parts:
+        return ""
+    return "/".join(parts[len(parts) - parts[::-1].index("repro") :])
+
+
 # ----------------------------------------------------------------------
 # RL001: seam discipline in the durability-critical modules
 # ----------------------------------------------------------------------
@@ -593,37 +601,35 @@ class ExceptionHygieneRule(Rule):
 # ----------------------------------------------------------------------
 @register_rule
 class ReplicationSeamRule(Rule):
-    """Wire I/O is confined to the transports and the FileSystem seam.
+    """Wire I/O is confined to the wire module and the FileSystem seam.
 
-    The wire-speaking api modules touch two worlds the fault harness must
-    be able to interpose on: the *wire* (sockets) and the *disk* (replica
-    directories).  Raw socket calls are allowed only inside each module's
-    transport layer — in ``replication.py`` that is
-    :class:`SocketTransport`, :class:`ReplicaServer` and the two
-    ``_recv_*`` framing helpers they share; in ``server.py`` it is the
-    blocking :class:`RemoteDatabase` client and its framing helpers (the
-    server side speaks asyncio streams) — so every other component stays
-    transport-agnostic and testable in process.  Durability-critical file
-    *writes* must flow through the ``FileSystem`` seam exactly as in the
-    durability layer (RL001); a raw write would be invisible to
-    ``FaultyFS`` and silently escape the crash-point enumeration of the
-    fault suites.
+    The wire-speaking modules touch two worlds the fault harness must be
+    able to interpose on: the *wire* (sockets) and the *disk* (replica
+    directories).  Raw socket calls are allowed only in the transport
+    layer: in ``wire.py`` the blocking :class:`Connection` client and the
+    ``recv_exact`` / ``recv_frame`` readers, in ``api/replication.py``
+    the listening :class:`ReplicaServer`; ``api/server.py`` has no socket
+    scope (its server speaks asyncio streams, its client is a
+    ``Connection``) — so every other component stays transport-agnostic
+    and testable in process.  Durability-critical file *writes* must flow
+    through the ``FileSystem`` seam exactly as in the durability layer
+    (RL001); a raw write would be invisible to ``FaultyFS`` and silently
+    escape the crash-point enumeration of the fault suites.
     """
 
     code = "RL007"
     name = "replication-seam"
     description = (
-        "in api/replication.py and api/server.py, raw socket use is "
-        "confined to the transport scopes and file writes must go through "
-        "the FileSystem seam"
+        "in wire.py, api/replication.py and api/server.py, raw socket use "
+        "is confined to the transport scopes and file writes must go "
+        "through the FileSystem seam"
     )
 
-    #: Per file, the transport layer: the only scopes that may touch sockets.
+    #: Per module, the transport layer: the only scopes that may touch sockets.
     _SOCKET_SCOPES = {
-        "replication.py": frozenset(
-            {"SocketTransport", "ReplicaServer", "_recv_exact", "_recv_message"}
-        ),
-        "server.py": frozenset({"RemoteDatabase", "_recv_exact", "_recv_frame"}),
+        "wire.py": frozenset({"Connection", "recv_exact", "recv_frame"}),
+        "api/replication.py": frozenset({"ReplicaServer"}),
+        "api/server.py": frozenset(),
     }
     _OS_FUNCTIONS = SeamDisciplineRule._OS_FUNCTIONS
     _SHUTIL_FUNCTIONS = SeamDisciplineRule._SHUTIL_FUNCTIONS
@@ -631,10 +637,11 @@ class ReplicationSeamRule(Rule):
     _SEAM_RECEIVERS = SeamDisciplineRule._SEAM_RECEIVERS
 
     def applies_to(self, path: PurePath) -> bool:
-        return _adjacent(path.parts, "repro", "api") and path.name in self._SOCKET_SCOPES
+        return _repro_module(path) in self._SOCKET_SCOPES
 
     def check(self, tree: ast.Module, path: PurePath) -> List[Diagnostic]:
-        transport_spans = self._transport_spans(tree, self._SOCKET_SCOPES[path.name])
+        scopes = self._SOCKET_SCOPES[_repro_module(path)]
+        transport_spans = self._transport_spans(tree, scopes)
         diagnostics: List[Diagnostic] = []
         rule = self
 
@@ -652,7 +659,7 @@ class ReplicationSeamRule(Rule):
                             path,
                             node,
                             f"raw socket use '{dotted}' outside the transport "
-                            "layer; route peer I/O through a ReplicationTransport",
+                            "layer; route peer I/O through repro.wire",
                         )
                     )
                 elif root == "os" and attr in rule._OS_FUNCTIONS:
@@ -701,43 +708,30 @@ class ReplicationSeamRule(Rule):
 class BinaryCodecConfinementRule(Rule):
     """Raw ``struct`` packing is confined to the binary codec modules.
 
-    The binary formats each live in exactly one module — the WAL record
-    framing in ``storage/wal.py``, the page/superblock codec in
-    ``storage/pages.py``, the replication wire frames in
-    ``api/replication.py``, the serving wire frames in ``api/server.py``.
-    Every byte layout has a version field, a CRC discipline and a reader
-    that tolerates torn tails; a ``struct.pack`` sprinkled anywhere else
-    creates a second, unversioned format that recovery and repair cannot
-    validate.  Modules outside the allowlist compose the codecs instead
-    of packing bytes themselves.
+    The binary formats each live in exactly one module — the frame and
+    message codec of the WAL, the replication wire and the serving wire
+    in ``wire.py``, the WAL record bodies in ``storage/wal.py``, the
+    page/superblock codec in ``storage/pages.py``.  Every byte layout has
+    a version field, a CRC discipline and a reader that tolerates torn
+    tails; a ``struct.pack`` sprinkled anywhere else creates a second,
+    unversioned format that recovery and repair cannot validate.  Modules
+    outside the allowlist compose the codecs instead of packing bytes
+    themselves.
     """
 
     code = "RL008"
     name = "binary-codec-confinement"
     description = (
         "raw struct packing/unpacking is confined to the binary codec "
-        "modules (storage/wal.py, storage/pages.py, api/replication.py, "
-        "api/server.py); everything else composes their encode/decode "
-        "functions"
+        "modules (wire.py, storage/wal.py, storage/pages.py); everything "
+        "else composes their encode/decode functions"
     )
 
-    #: ``(package, file)`` pairs that own a binary format.
-    _CODEC_MODULES = frozenset(
-        {
-            ("storage", "wal.py"),
-            ("storage", "pages.py"),
-            ("api", "replication.py"),
-            ("api", "server.py"),
-        }
-    )
+    #: Modules (below ``repro/``) that own a binary format.
+    _CODEC_MODULES = frozenset({"wire.py", "storage/wal.py", "storage/pages.py"})
 
     def applies_to(self, path: PurePath) -> bool:
-        if not _in_repro(path):
-            return False
-        for package, filename in self._CODEC_MODULES:
-            if _adjacent(path.parts, "repro", package) and path.name == filename:
-                return False
-        return True
+        return _in_repro(path) and _repro_module(path) not in self._CODEC_MODULES
 
     def check(self, tree: ast.Module, path: PurePath) -> List[Diagnostic]:
         diagnostics: List[Diagnostic] = []
@@ -769,6 +763,7 @@ class BinaryCodecConfinementRule(Rule):
             path,
             node,
             f"raw binary packing ({operation!r}) outside the codec modules; "
-            "give the byte layout a home in storage/pages.py or storage/wal.py "
-            "and compose its encode/decode functions here",
+            "give the byte layout a home in a codec module (wire.py, "
+            "storage/pages.py, storage/wal.py) and compose its encode/decode "
+            "functions here",
         )

@@ -2,17 +2,18 @@
 
 PR 5 made one node crash-consistent; this module makes a shard survive the
 *machine*.  A :class:`ReplicatedBackend` is a :class:`~repro.api.durability.
-DurableBackend` that streams its checksummed WAL frames — the exact
-u32-length + u32-crc32 framing and LSN monotonicity of
-:mod:`repro.storage.wal`, byte for byte — to one or more followers over a
-pluggable transport:
+DurableBackend` that streams its WAL frames, byte for byte and in LSN
+order, to one or more followers over a pluggable transport.  Every
+request and reply is one :mod:`repro.wire` message frame (a JSON header
+plus blobs, CRC-checked and size-capped), and the shipped WAL frames
+inside it are themselves :mod:`repro.wire` frames:
 
 * :class:`InProcessTransport` delivers messages synchronously to a
   :class:`ReplicaNode` in the same process (round-tripping through the wire
   encoding, so serialization is exercised everywhere) — the deterministic
   choice for tests and the fault harness;
-* :class:`SocketTransport` / :class:`ReplicaServer` speak the same
-  length-prefixed request/response protocol over TCP for real deployments.
+* :class:`SocketTransport` / :class:`ReplicaServer` carry the same frames
+  over TCP for real deployments.
 
 Design invariants
 -----------------
@@ -57,12 +58,12 @@ from __future__ import annotations
 
 import json
 import socket
-import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, cast
 
+from repro import wire
 from repro.api.durability import (
     CHECKPOINT_MANIFEST_NAME,
     PENDING_OP_NAME,
@@ -88,72 +89,25 @@ from repro.storage.wal import (
 REPLICA_MARKER_NAME = "REPLICA.json"
 
 #: Bump on any change to the message protocol or the marker layout.
-REPLICATION_FORMAT_VERSION = 1
+REPLICATION_FORMAT_VERSION = 2
 
 #: Acknowledged replication modes (see the module docstring).
 REPLICATION_MODES = ("async", "semi-sync")
-
-_WIRE = struct.Struct("<I")
 
 
 class ReplicationError(RuntimeError):
     """A replication request failed (protocol violation, gap, lost peer)."""
 
 
-# ----------------------------------------------------------------------
-# Wire encoding (shared by both transports)
-# ----------------------------------------------------------------------
-def encode_message(header: Dict[str, Any], blobs: Sequence[bytes]) -> bytes:
-    """Encode one message: u32 total length, JSON header, length-prefixed blobs."""
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_WIRE.pack(len(head)), head, _WIRE.pack(len(blobs))]
-    for blob in blobs:
-        parts.append(_WIRE.pack(len(blob)))
-        parts.append(blob)
-    body = b"".join(parts)
-    return _WIRE.pack(len(body)) + body
+_REPLICATION = wire.Codec("replication", "replication message", ReplicationError)
+
+#: Encode one replication message frame.
+encode_message = wire.encode_message
 
 
 def decode_message(data: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
-    """Invert :func:`encode_message` (the leading total length included)."""
-    if len(data) < _WIRE.size:
-        raise ReplicationError("truncated replication message")
-    (total,) = _WIRE.unpack_from(data, 0)
-    body = data[_WIRE.size : _WIRE.size + total]
-    if len(body) != total:
-        raise ReplicationError("truncated replication message")
-    return _decode_body(body)
-
-
-def _decode_body(body: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
-    try:
-        (head_len,) = _WIRE.unpack_from(body, 0)
-        offset = _WIRE.size
-        header = json.loads(body[offset : offset + head_len].decode("utf-8"))
-        offset += head_len
-        (count,) = _WIRE.unpack_from(body, offset)
-        offset += _WIRE.size
-        blobs: List[bytes] = []
-        for _ in range(count):
-            (blob_len,) = _WIRE.unpack_from(body, offset)
-            offset += _WIRE.size
-            blob = body[offset : offset + blob_len]
-            if len(blob) != blob_len:
-                raise ReplicationError("truncated replication message blob")
-            blobs.append(blob)
-            offset += blob_len
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise ReplicationError(f"malformed replication message: {error}") from error
-    if not isinstance(header, dict):
-        raise ReplicationError("malformed replication message: header is not an object")
-    return dict(header), blobs
-
-
-def _header_int(header: Dict[str, Any], key: str) -> int:
-    value = header.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ReplicationError(f"replication message missing integer field {key!r}")
-    return int(value)
+    """Invert :func:`encode_message` (the frame head included)."""
+    return wire.decode_body(wire.unseal(data, _REPLICATION), _REPLICATION)
 
 
 # ----------------------------------------------------------------------
@@ -210,16 +164,17 @@ class InProcessTransport(ReplicationTransport):
         return decode_message(encoded)
 
 
-class SocketTransport(ReplicationTransport):
-    """Length-prefixed request/response over TCP to a :class:`ReplicaServer`.
+class SocketTransport(wire.Connection, ReplicationTransport):
+    """Request/response over TCP to a :class:`ReplicaServer`.
 
-    The connection is created lazily and reused; any socket failure closes
-    it and surfaces as :class:`ReplicationError` (the primary treats the
-    follower as lost — reattach to catch up).  All raw socket I/O in this
-    module lives in this class and :class:`ReplicaServer` (policed by lint
-    rule RL007), bracketed by the same seam barriers as the in-process
+    The connection is created lazily and reused; any socket or frame
+    failure closes it and surfaces as :class:`ReplicationError` (the
+    primary treats the follower as lost — reattach to catch up).  Each
+    request is bracketed by the same seam barriers as the in-process
     transport.
     """
+
+    codec = _REPLICATION
 
     def __init__(
         self,
@@ -228,75 +183,19 @@ class SocketTransport(ReplicationTransport):
         fs: FileSystem = REAL_FS,
         timeout: float = 30.0,
     ) -> None:
-        self._address = (str(address[0]), int(address[1]))
+        super().__init__(address, timeout=timeout)
         self._fs = fs
-        self._timeout = float(timeout)
-        self._connection: Optional[socket.socket] = None
-
-    def _connect(self) -> socket.socket:
-        if self._connection is None:
-            self._connection = socket.create_connection(self._address, timeout=self._timeout)
-        return self._connection
 
     def request(
         self, header: Dict[str, Any], blobs: Sequence[bytes] = ()
     ) -> Tuple[Dict[str, Any], List[bytes]]:
-        message = encode_message(dict(header), list(blobs))
-        try:
-            connection = self._connect()
-            self._fs.barrier("replication-send")
-            connection.sendall(message)
-            reply = _recv_message(connection)
-        except OSError as error:
-            self.close()
-            raise ReplicationError(f"replication transport failed: {error}") from error
-        except ReplicationError:
-            # A truncated or malformed reply leaves the cached connection
-            # desynchronised mid-frame; drop it so the next request
-            # reconnects instead of reading garbage.
-            self.close()
-            raise
-        if reply is None:
-            self.close()
-            raise ReplicationError("follower closed the connection mid-request")
+        payload = self._exchange(
+            encode_message(dict(header), list(blobs)),
+            lambda: self._fs.barrier("replication-send"),
+        )
+        reply = wire.decode_body(payload, _REPLICATION)
         self._fs.barrier("replication-ack")
         return reply
-
-    def close(self) -> None:
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            finally:
-                self._connection = None
-
-
-def _recv_exact(connection: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly *count* bytes; ``None`` on a clean EOF at a boundary."""
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = connection.recv(min(remaining, 1 << 16))
-        if not chunk:
-            return None if not chunks else b""
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_message(
-    connection: socket.socket,
-) -> Optional[Tuple[Dict[str, Any], List[bytes]]]:
-    """Read one length-prefixed message; ``None`` when the peer closed."""
-    head = _recv_exact(connection, _WIRE.size)
-    if head is None:
-        return None
-    if len(head) != _WIRE.size:
-        raise ReplicationError("truncated replication message")
-    (total,) = _WIRE.unpack(head)
-    body = _recv_exact(connection, total)
-    if body is None or len(body) != total:
-        raise ReplicationError("truncated replication message")
-    return _decode_body(body)
 
 
 class ReplicaServer:
@@ -361,12 +260,12 @@ class ReplicaServer:
         connection.settimeout(30.0)
         while not self._stop.is_set():
             try:
-                message = _recv_message(connection)
+                payload = wire.recv_frame(connection, _REPLICATION)
+                if payload is None:
+                    return
+                header, blobs = wire.decode_body(payload, _REPLICATION)
             except (OSError, ReplicationError):
                 return
-            if message is None:
-                return
-            header, blobs = message
             try:
                 reply, reply_blobs = self._node.handle(header, blobs)
             except Exception as error:
@@ -540,7 +439,7 @@ class ReplicaNode:
         self, header: Dict[str, Any], blobs: List[bytes]
     ) -> Tuple[Dict[str, Any], List[bytes]]:
         self._require_open()
-        shard = _header_int(header, "shard")
+        shard = wire.header_int(header, "shard", ReplicationError)
         if not 0 <= shard < len(self._wals):
             raise ReplicationError(f"frames for unknown shard {shard}")
         wal = self._wals[shard]
@@ -689,7 +588,7 @@ class ReplicatedBackend(DurableBackend):
     at append time ship from the ``_after_sync`` acknowledgement hook, the
     staged-operation records ship around their per-shard frames, and
     :meth:`attach_replica` bootstraps or incrementally catches up a
-    follower.  Construct through :meth:`create` / :meth:`recover` (or
+    follower.  Create one through :meth:`create` / :meth:`recover` (or
     :func:`promote` on a follower's directory).
     """
 
@@ -729,7 +628,7 @@ class ReplicatedBackend(DurableBackend):
 
         return observe
 
-    # -- constructors ----------------------------------------------------
+    # -- creation --------------------------------------------------------
     @classmethod
     def create(
         cls,
@@ -851,7 +750,7 @@ class ReplicatedBackend(DurableBackend):
         """Serve each shard's reads from *node* whenever it is caught up.
 
         Requires a sharded inner database (the delegates plug into its
-        scatter phase).  Read-your-writes holds by construction: a delegate
+        scatter phase).  Read-your-writes holds by design: a delegate
         answers only while the replica's applied LSN equals the primary's
         next LSN for that shard and no staged operation is in flight;
         otherwise the scatter silently falls back to the primary's shard.
@@ -963,7 +862,7 @@ class ReplicatedBackend(DurableBackend):
         )
         if semi_sync:
             expected = frame_lsn(frames[-1]) + 1
-            durable = _header_int(reply, "durable_lsn")
+            durable = wire.header_int(reply, "durable_lsn", ReplicationError)
             if durable < expected:
                 raise ReplicationError(
                     f"semi-sync follower acknowledged durable lsn {durable}, "

@@ -8,11 +8,9 @@ requests from different connections coalesce into the same ticks, so the
 serving semantics (arrival order, batched execution, group commit over a
 durable backend) are exactly those of the in-process front-end.
 
-The wire reuses the length-prefixed-frame discipline of
-:mod:`repro.api.replication` and adds the CRC guard of the storage layer:
-one frame is ``u32 payload length | u32 CRC-32 of the payload | payload``,
-where the payload is a JSON header plus length-prefixed binary blobs.
-Query boxes travel either as one packed float64 ``(m, 2d)`` blob (the
+Requests and replies are :mod:`repro.wire` message frames — a JSON header
+plus binary blobs in one CRC-checked, size-capped frame.  Query boxes
+travel either as one packed float64 ``(m, 2d)`` blob (the
 :class:`RemoteDatabase` client does this — zero parsing on the hot path)
 or as a JSON ``boxes`` list in the header (hand-rolled clients).  Result
 identifier arrays travel as int64 blobs; execution counters as JSON.
@@ -20,16 +18,15 @@ identifier arrays travel as int64 blobs; execution counters as JSON.
 Failure discipline:
 
 * a request that fails (unknown op, bad relation, a crashed worker
-  process behind a sharded backend) gets a structured error reply —
+  process behind a sharded backend) gets an error reply —
   ``{"ok": false, "error": <type>, "message": <str>}`` — and the
   connection keeps serving;
 * a frame that cannot be decoded at all (truncated mid-frame, checksum
   mismatch, malformed header) closes **that connection only**; every
   other client keeps its connection and the server keeps listening.
 
-All raw socket I/O lives in :class:`RemoteDatabase` and its two receive
-helpers (policed by lint rule RL007); the server side speaks through
-asyncio streams.
+The client's socket lives in :class:`repro.wire.Connection`, the base of
+:class:`RemoteDatabase`; the server side speaks through asyncio streams.
 """
 
 from __future__ import annotations
@@ -37,15 +34,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import json
-import socket
-import struct
 import threading
-import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import wire
 from repro.api.database import Database
 from repro.api.protocol import QueryResult, SpatialBackend
 from repro.api.serving import AsyncDatabase, ServingConfig, ServingStats
@@ -68,55 +62,25 @@ __all__ = [
 #: Bump on any change to the frame layout or the request/reply headers.
 SERVING_FORMAT_VERSION = 1
 
-#: Frame head: payload length, CRC-32 of the payload.
-_FRAME = struct.Struct("<II")
-_U32 = struct.Struct("<I")
-
-#: Defensive ceiling against reading a garbage length prefix as 4 GiB.
-_MAX_FRAME_BYTES = 1 << 30
-
 
 class ServingError(RuntimeError):
     """A serving request failed (protocol violation, bad frame, lost peer)."""
+
+
+_SERVING = wire.Codec("serving", "serving frame", ServingError)
 
 
 # ----------------------------------------------------------------------
 # Wire encoding (shared by server and client)
 # ----------------------------------------------------------------------
 def encode_frame(header: Dict[str, Any], blobs: Sequence[bytes] = ()) -> bytes:
-    """Encode one frame: u32 payload length, u32 CRC-32, JSON header + blobs."""
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_U32.pack(len(head)), head, _U32.pack(len(blobs))]
-    for blob in blobs:
-        parts.append(_U32.pack(len(blob)))
-        parts.append(bytes(blob))
-    payload = b"".join(parts)
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    """Encode one serving frame (a :func:`repro.wire.encode_message` frame)."""
+    return wire.encode_message(header, blobs)
 
 
 def decode_payload(payload: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
-    """Decode one frame payload (everything after the length/CRC head)."""
-    try:
-        (head_len,) = _U32.unpack_from(payload, 0)
-        offset = _U32.size
-        header = json.loads(payload[offset : offset + head_len].decode("utf-8"))
-        offset += head_len
-        (count,) = _U32.unpack_from(payload, offset)
-        offset += _U32.size
-        blobs: List[bytes] = []
-        for _ in range(count):
-            (blob_len,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            blob = payload[offset : offset + blob_len]
-            if len(blob) != blob_len:
-                raise ServingError("truncated serving frame blob")
-            blobs.append(blob)
-            offset += blob_len
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise ServingError(f"malformed serving frame: {error}") from error
-    if not isinstance(header, dict):
-        raise ServingError("malformed serving frame: header is not an object")
-    return dict(header), blobs
+    """Decode one serving frame payload (everything after the length/CRC head)."""
+    return wire.decode_body(payload, _SERVING)
 
 
 def _pack_boxes(boxes: Sequence[HyperRectangle], dimensions: int) -> bytes:
@@ -257,10 +221,10 @@ class DatabaseServer:
         # other connection keep serving.
         with contextlib.suppress(ServingError, OSError):
             while True:
-                frame = await _read_frame(reader)
-                if frame is None:
+                payload = await wire.read_frame(reader, _SERVING)
+                if payload is None:
                     break
-                header, blobs = frame
+                header, blobs = decode_payload(payload)
                 reply, reply_blobs = await self._handle_request(header, blobs)
                 writer.write(encode_frame(reply, reply_blobs))
                 await writer.drain()
@@ -312,7 +276,8 @@ class DatabaseServer:
             boxes = _request_boxes(header, blobs)
             if len(boxes) != 1:
                 raise ValueError(f"op 'publish' carries exactly one box, got {len(boxes)}")
-            record = await self._served.publish(_header_int(header, "event_id"), boxes[0])
+            event_id = wire.header_int(header, "event_id", ValueError)
+            record = await self._served.publish(event_id, boxes[0])
             return (
                 {
                     "ok": True,
@@ -326,10 +291,12 @@ class DatabaseServer:
             boxes = _request_boxes(header, blobs)
             if len(boxes) != 1:
                 raise ValueError(f"op 'subscribe' carries exactly one box, got {len(boxes)}")
-            await self._served.subscribe(_header_int(header, "subscription_id"), boxes[0])
+            subscription_id = wire.header_int(header, "subscription_id", ValueError)
+            await self._served.subscribe(subscription_id, boxes[0])
             return ({"ok": True}, [])
         if op == "unsubscribe":
-            await self._served.unsubscribe(_header_int(header, "subscription_id"))
+            subscription_id = wire.header_int(header, "subscription_id", ValueError)
+            await self._served.unsubscribe(subscription_id)
             return ({"ok": True}, [])
         if op == "stats":
             return (
@@ -342,35 +309,6 @@ class DatabaseServer:
                 [],
             )
         raise ValueError(f"unknown serving op {op!r}")
-
-
-def _header_int(header: Dict[str, Any], key: str) -> int:
-    value = header.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"serving request missing integer field {key!r}")
-    return int(value)
-
-
-async def _read_frame(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[Dict[str, Any], List[bytes]]]:
-    """Read one frame; ``None`` on a clean EOF between frames."""
-    try:
-        head = await reader.readexactly(_FRAME.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ServingError("truncated serving frame head") from error
-    length, checksum = _FRAME.unpack(head)
-    if length > _MAX_FRAME_BYTES:
-        raise ServingError(f"serving frame of {length} bytes exceeds the frame limit")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ServingError("truncated serving frame payload") from error
-    if zlib.crc32(payload) != checksum:
-        raise ServingError("serving frame checksum mismatch")
-    return decode_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -514,36 +452,19 @@ def serve(
 # ----------------------------------------------------------------------
 # Client
 # ----------------------------------------------------------------------
-class RemoteDatabase:
+class RemoteDatabase(wire.Connection):
     """Blocking TCP client of a :class:`DatabaseServer`.
 
     Mirrors the request surface of :class:`AsyncDatabase` — ``query``,
     ``query_batch``, ``publish``, ``subscribe``, ``unsubscribe``,
-    ``stats`` — reconstructing :class:`QueryResult` /
+    ``stats`` — rebuilding :class:`QueryResult` /
     :class:`MatchRecord` values from the wire, so remote results compare
     byte-identical to local ones.  The connection is created lazily and
     reused; any transport or frame failure drops it (the next request
-    reconnects) and surfaces as :class:`ServingError`.  All raw socket
-    I/O of this module lives here (policed by lint rule RL007).
+    reconnects) and surfaces as :class:`ServingError`.
     """
 
-    def __init__(self, address: Tuple[str, int], *, timeout: float = 30.0) -> None:
-        self._address = (str(address[0]), int(address[1]))
-        self._timeout = float(timeout)
-        self._connection: Optional[socket.socket] = None
-
-    def _connect(self) -> socket.socket:
-        if self._connection is None:
-            self._connection = socket.create_connection(self._address, timeout=self._timeout)
-        return self._connection
-
-    def close(self) -> None:
-        """Drop the cached connection (a later request reconnects)."""
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            finally:
-                self._connection = None
+    codec = _SERVING
 
     def __enter__(self) -> "RemoteDatabase":
         return self
@@ -554,24 +475,9 @@ class RemoteDatabase:
     def _request(
         self, header: Dict[str, Any], blobs: Sequence[bytes] = ()
     ) -> Tuple[Dict[str, Any], List[bytes]]:
-        message = encode_frame(header, list(blobs))
-        try:
-            connection = self._connect()
-            connection.sendall(message)
-            reply = _recv_frame(connection)
-        except OSError as error:
-            self.close()
-            raise ServingError(f"serving transport failed: {error}") from error
-        except ServingError:
-            # A truncated or malformed reply leaves the connection
-            # desynchronised mid-frame; drop it so the next request
-            # reconnects instead of reading garbage.
-            self.close()
-            raise
-        if reply is None:
-            self.close()
-            raise ServingError("server closed the connection mid-request")
-        reply_header, reply_blobs = reply
+        reply_header, reply_blobs = decode_payload(
+            self._exchange(encode_frame(header, list(blobs)))
+        )
         if not reply_header.get("ok"):
             raise ServingError(
                 f"{reply_header.get('error', 'ServingError')}: "
@@ -663,36 +569,3 @@ class RemoteDatabase:
         """The server's serving statistics and database shape."""
         reply, _blobs = self._request({"op": "stats"})
         return {key: value for key, value in reply.items() if key != "ok"}
-
-
-def _recv_exact(connection: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly *count* bytes; ``None`` on a clean EOF at a boundary."""
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = connection.recv(min(remaining, 1 << 16))
-        if not chunk:
-            return None if not chunks else b""
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(
-    connection: socket.socket,
-) -> Optional[Tuple[Dict[str, Any], List[bytes]]]:
-    """Read one frame; ``None`` when the peer closed between frames."""
-    head = _recv_exact(connection, _FRAME.size)
-    if head is None:
-        return None
-    if len(head) != _FRAME.size:
-        raise ServingError("truncated serving frame head")
-    length, checksum = _FRAME.unpack(head)
-    if length > _MAX_FRAME_BYTES:
-        raise ServingError(f"serving frame of {length} bytes exceeds the frame limit")
-    payload = _recv_exact(connection, length)
-    if payload is None or len(payload) != length:
-        raise ServingError("truncated serving frame payload")
-    if zlib.crc32(payload) != checksum:
-        raise ServingError("serving frame checksum mismatch")
-    return decode_payload(payload)

@@ -27,13 +27,9 @@ A WAL file starts with a fixed 20-byte header::
     dims      u32       dimensionality of the logged boxes
     start_lsn u64       LSN of the first record this file may contain
 
-followed by zero or more records, each framed as::
-
-    length    u32       byte length of the payload
-    crc32     u32       zlib.crc32 of the payload
-    payload   ...       length bytes
-
-and each payload starting with::
+followed by zero or more records, each one :mod:`repro.wire` frame
+(u32 payload length, u32 CRC-32 of the payload, payload — the same
+frame replication ships byte for byte), and each payload starting with::
 
     lsn       u64       monotonically increasing log sequence number
     opcode    u8        one of the OP_* codes
@@ -81,6 +77,8 @@ from typing import BinaryIO, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import wire
+
 PathLike = Union[str, Path]
 
 #: Bump on any change to the header or record layout.
@@ -88,8 +86,9 @@ WAL_FORMAT_VERSION = 1
 
 WAL_MAGIC = b"RWAL"
 _HEADER = struct.Struct("<4sHHIQ")  # magic, version, reserved, dims, start_lsn
-_FRAME = struct.Struct("<II")  # payload length, payload crc32
+_FRAME = wire.FRAME_HEAD  # payload length, payload crc32
 _PREFIX = struct.Struct("<QBQ")  # lsn, opcode, gid
+_WAL = wire.Codec("WAL", "WAL frame", ValueError)
 
 OP_INSERT = 1
 OP_DELETE = 2
@@ -240,8 +239,7 @@ def encode_record(
         pass
     else:
         raise ValueError(f"unknown WAL opcode: {opcode}")
-    payload = b"".join(parts)
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    return wire.seal(b"".join(parts))
 
 
 def decode_payload(payload: bytes, dims: int) -> WalRecord:
@@ -407,17 +405,15 @@ def frame_lsn(frame: bytes) -> int:
 
 def decode_frame(frame: bytes, dims: int) -> WalRecord:
     """Decode one shipped frame (CRC-verified) into a :class:`WalRecord`."""
-    if len(frame) < _FRAME.size + _PREFIX.size:
+    return decode_payload(_unseal(frame), dims)
+
+
+def _unseal(frame: bytes) -> bytes:
+    """The checked payload of one shipped frame; :class:`ValueError` otherwise."""
+    payload = wire.unseal(frame, _WAL)
+    if len(payload) < _PREFIX.size:
         raise ValueError("WAL frame shorter than its framing")
-    length, crc = _FRAME.unpack_from(frame, 0)
-    payload = frame[_FRAME.size :]
-    if len(payload) != length:
-        raise ValueError(
-            f"WAL frame length field says {length} payload bytes, got {len(payload)}"
-        )
-    if zlib.crc32(payload) != crc:
-        raise ValueError("WAL frame failed its CRC check")
-    return decode_payload(payload, dims)
+    return payload
 
 
 def read_frames(path: PathLike, *, min_lsn: int = 0) -> FrameScan:
@@ -437,7 +433,7 @@ def read_frames(path: PathLike, *, min_lsn: int = 0) -> FrameScan:
         lsn = start_lsn + index
         if lsn < min_lsn:
             continue
-        frames.append((lsn, _FRAME.pack(len(payload), zlib.crc32(payload)) + payload))
+        frames.append((lsn, wire.seal(payload)))
     return FrameScan(
         dimensions=dims,
         start_lsn=start_lsn,
@@ -563,17 +559,7 @@ class WriteAheadLog:
         follower never accepts a gap, a rewind or a corrupted frame.
         Returns the appended LSN; not durable until :meth:`sync`.
         """
-        if len(frame) < _FRAME.size + _PREFIX.size:
-            raise ValueError("WAL frame shorter than its framing")
-        length, crc = _FRAME.unpack_from(frame, 0)
-        payload = frame[_FRAME.size :]
-        if len(payload) != length:
-            raise ValueError(
-                f"WAL frame length field says {length} payload bytes, got {len(payload)}"
-            )
-        if zlib.crc32(payload) != crc:
-            raise ValueError("WAL frame failed its CRC check")
-        (lsn,) = struct.unpack_from("<Q", payload, 0)
+        (lsn,) = struct.unpack_from("<Q", _unseal(frame), 0)
         if lsn != self._next_lsn:
             raise ValueError(f"out-of-order WAL frame: lsn {lsn}, expected {self._next_lsn}")
         self._ensure_handle().write(frame)

@@ -115,9 +115,9 @@ RULE_FIXTURES = {
         flag_line=5,
         good=(
             "import socket\n\n\n"
-            "class SocketTransport:\n"
-            "    def connect(self, address):\n"
-            "        return socket.create_connection(address)\n"
+            "class ReplicaServer:\n"
+            "    def listen(self, host, port):\n"
+            "        return socket.create_server((host, port))\n"
         ),
     ),
     "RL008": dict(
@@ -426,14 +426,15 @@ class TestReplicationSeam:
         report = lint_snippet(tmp_path, "repro/api/replication.py", source)
         assert report.diagnostics == []
 
-    def test_recv_helpers_are_exempt(self, tmp_path):
+    def test_recv_helpers_live_in_the_wire_module(self, tmp_path):
         source = (
             "import socket\n\n\n"
-            "def _recv_exact(connection: socket.socket, count):\n"
+            "def recv_exact(connection: socket.socket, count):\n"
             "    return connection.recv(count)\n"
         )
+        assert lint_snippet(tmp_path, "repro/wire.py", source).diagnostics == []
         report = lint_snippet(tmp_path, "repro/api/replication.py", source)
-        assert report.diagnostics == []
+        assert codes_of(report) == ["RL007"]
 
     def test_raw_file_write_is_flagged(self, tmp_path):
         source = "import os\n\n\ndef commit(path):\n    os.replace(path, path)\n"
@@ -457,18 +458,23 @@ class TestReplicationSeam:
         report = lint_snippet(tmp_path, "repro/api/serving.py", fixture["bad"])
         assert report.diagnostics == []
 
-    def test_server_client_and_recv_helpers_are_exempt(self, tmp_path):
+    def test_wire_client_and_readers_are_exempt(self, tmp_path):
         source = (
             "import socket\n\n\n"
-            "class RemoteDatabase:\n"
+            "class Connection:\n"
             "    def _connect(self, address):\n"
             "        return socket.create_connection(address)\n\n\n"
-            "def _recv_exact(connection: socket.socket, count):\n"
+            "def recv_exact(connection: socket.socket, count):\n"
             "    return connection.recv(count)\n\n\n"
-            "def _recv_frame(connection):\n"
-            "    return _recv_exact(connection, 8)\n"
+            "def recv_frame(connection: socket.socket, codec):\n"
+            "    return recv_exact(connection, 8)\n"
         )
-        report = lint_snippet(tmp_path, "repro/api/server.py", source)
+        report = lint_snippet(tmp_path, "repro/wire.py", source)
+        assert report.diagnostics == []
+
+    def test_other_top_level_modules_are_out_of_scope(self, tmp_path):
+        fixture = RULE_FIXTURES["RL007"]
+        report = lint_snippet(tmp_path, "repro/cli.py", fixture["bad"])
         assert report.diagnostics == []
 
     def test_stray_socket_use_in_server_is_flagged(self, tmp_path):
@@ -477,22 +483,26 @@ class TestReplicationSeam:
         assert codes_of(report) == ["RL007"]
 
     def test_transport_scopes_are_per_file(self, tmp_path):
-        # SocketTransport is a replication.py scope; in server.py the same
-        # class name buys no exemption (and vice versa for RemoteDatabase).
-        transport = (
-            "import socket\n\n\n"
-            "class SocketTransport:\n"
-            "    def connect(self, address):\n"
-            "        return socket.create_connection(address)\n"
-        )
+        # Connection is a wire.py scope and ReplicaServer a replication.py
+        # one; elsewhere the same class name buys no exemption, and
+        # server.py has no socket scope at all.
         client = (
             "import socket\n\n\n"
-            "class RemoteDatabase:\n"
+            "class Connection:\n"
             "    def connect(self, address):\n"
             "        return socket.create_connection(address)\n"
         )
-        assert codes_of(lint_snippet(tmp_path, "repro/api/server.py", transport)) == ["RL007"]
+        listener = (
+            "import socket\n\n\n"
+            "class ReplicaServer:\n"
+            "    def listen(self, host, port):\n"
+            "        return socket.create_server((host, port))\n"
+        )
+        remote = client.replace("Connection", "RemoteDatabase")
         assert codes_of(lint_snippet(tmp_path, "repro/api/replication.py", client)) == ["RL007"]
+        assert codes_of(lint_snippet(tmp_path, "repro/api/server.py", client)) == ["RL007"]
+        assert codes_of(lint_snippet(tmp_path, "repro/api/server.py", remote)) == ["RL007"]
+        assert codes_of(lint_snippet(tmp_path, "repro/wire.py", listener)) == ["RL007"]
 
 
 class TestMetaDiagnostics:
@@ -536,15 +546,19 @@ class TestBinaryCodecConfinement:
     @pytest.mark.parametrize(
         "relative",
         [
+            "repro/wire.py",
             "repro/storage/wal.py",
             "repro/storage/pages.py",
-            "repro/api/replication.py",
-            "repro/api/server.py",
         ],
     )
     def test_codec_modules_are_exempt(self, tmp_path, relative):
         report = lint_snippet(tmp_path, relative, self.CODEC_SOURCE, select=["RL008"])
         assert report.diagnostics == []
+
+    @pytest.mark.parametrize("relative", ["repro/api/replication.py", "repro/api/server.py"])
+    def test_wire_speaking_api_modules_are_covered(self, tmp_path, relative):
+        report = lint_snippet(tmp_path, relative, self.CODEC_SOURCE, select=["RL008"])
+        assert codes_of(report) == ["RL008", "RL008"]
 
     def test_same_name_outside_repro_is_ignored(self, tmp_path):
         report = lint_snippet(tmp_path, "scripts/framing.py", self.CODEC_SOURCE)

@@ -10,6 +10,7 @@ routing and the socket deployment path.
 
 import json
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -98,8 +99,59 @@ class TestWireEncoding:
                 (0).to_bytes(4, "little"),
             ]
         )
+        head = len(body).to_bytes(4, "little") + zlib.crc32(body).to_bytes(4, "little")
         with pytest.raises(ReplicationError, match="header is not an object"):
-            decode_message(len(body).to_bytes(4, "little") + body)
+            decode_message(head + body)
+
+    def test_every_changed_byte_raises(self):
+        """A message is CRC-checked: no single-byte change decodes — not
+        even one that still parses, like ``"shard": 1`` becoming 0."""
+        message = encode_message({"kind": "frames", "shard": 1}, [b"abc"])
+        for position in range(len(message)):
+            for mask in (0x01, 0x80, 0xFF):
+                corrupt = bytearray(message)
+                corrupt[position] ^= mask
+                with pytest.raises(ReplicationError):
+                    decode_message(bytes(corrupt))
+
+    def test_oversize_reply_length_is_refused_before_its_payload(self):
+        """A garbage length prefix in a follower's reply fails the request
+        at once instead of waiting for gigabytes that never come."""
+        import socket
+        import threading
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            done = threading.Event()
+
+            def garbage_reply():
+                connection, _peer = listener.accept()
+                with connection:
+                    connection.recv(1 << 16)  # the request
+                    connection.sendall((0xFFFFFFF0).to_bytes(4, "little") + b"z" * 12)
+                    done.wait(10.0)  # hold the connection open
+
+            thread = threading.Thread(target=garbage_reply, daemon=True)
+            thread.start()
+            transport = SocketTransport(listener.getsockname(), timeout=5.0)
+            try:
+                with pytest.raises(ReplicationError, match="exceeds the frame limit"):
+                    transport.request({"kind": "status"})
+                assert transport._connection is None
+            finally:
+                done.set()
+                thread.join(timeout=10.0)
+
+    def test_server_drops_an_oversize_request_without_reading_it(self, tmp_path):
+        import socket
+
+        node = ReplicaNode(tmp_path / "replica")
+        with ReplicaServer(node) as server:
+            with socket.create_connection(server.address) as rogue:
+                rogue.settimeout(5.0)
+                # A whole frame head and nothing else: the server reads it
+                # all, so its close is a clean EOF rather than a reset.
+                rogue.sendall((0xFFFFFFF0).to_bytes(4, "little") + bytes(4))
+                assert rogue.recv(1) == b""  # dropped at the head, no reply
 
 
 # ----------------------------------------------------------------------

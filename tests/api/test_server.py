@@ -30,10 +30,15 @@ from repro.api import (
     ShardedDatabase,
     serve_in_thread,
 )
-from repro.api.server import _recv_frame, encode_frame
+from repro.api.server import _SERVING, decode_payload, encode_frame
 from repro.geometry.box import HyperRectangle
+from repro.wire import recv_frame
 
 DIMENSIONS = 4
+
+
+def _recv_frame(connection):
+    return decode_payload(recv_frame(connection, _SERVING))
 
 
 def make_box(rng, extent=0.25):
