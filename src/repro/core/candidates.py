@@ -31,6 +31,12 @@ from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 
+#: Object rows compared against the candidate family at once when counting
+#: matches: bounds the ``(rows, candidates)`` temporaries of
+#: :meth:`CandidateSet.object_match_counts` independently of how many objects
+#: a bulk load, merge, split or invariant check passes in.
+_ROW_BLOCK = 2_048
+
 
 def access_probabilities(
     query_counts: np.ndarray, windows: "int | np.ndarray", smoothing: float = 0.0
@@ -121,18 +127,21 @@ class CandidateSet:
         """
         if len(self) == 0:
             return np.zeros(0, dtype=np.int64)
-        if lows.shape[0] == 0:
-            return np.zeros(len(self), dtype=np.int64)
-        # (n_objects, n_candidates) comparisons on the candidates' dimensions.
-        obj_lows = lows[:, self.dimension]
-        obj_highs = highs[:, self.dimension]
-        matches = (
-            (self.start_low <= obj_lows)
-            & (obj_lows <= self.start_high)
-            & (self.end_low <= obj_highs)
-            & (obj_highs <= self.end_high)
-        )
-        return matches.sum(axis=0).astype(np.int64)
+        counts = np.zeros(len(self), dtype=np.int64)
+        # (rows, n_candidates) comparisons on the candidates' dimensions,
+        # accumulated over row blocks so the temporaries stay bounded
+        # whatever the number of objects.
+        for begin in range(0, lows.shape[0], _ROW_BLOCK):
+            obj_lows = lows[begin : begin + _ROW_BLOCK, self.dimension]
+            obj_highs = highs[begin : begin + _ROW_BLOCK, self.dimension]
+            matches = (
+                (self.start_low <= obj_lows)
+                & (obj_lows <= self.start_high)
+                & (self.end_low <= obj_highs)
+                & (obj_highs <= self.end_high)
+            )
+            counts += matches.sum(axis=0)
+        return counts
 
     def objects_matching_candidate(
         self, index: int, lows: np.ndarray, highs: np.ndarray

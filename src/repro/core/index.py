@@ -49,10 +49,14 @@ from repro.geometry.relations import SpatialRelation
 from repro.storage import StorageBackend, storage_for_scenario
 
 
-#: Upper bound on (query, object) pairs a single batch-execution chunk may
-#: materialize; chunks are split to stay under it (worst case: every query
-#: of the chunk explores every object).
-_PAIR_BUDGET = 8_000_000
+#: Block size of the vectorised batch kernels, in array elements.  The
+#: verification cascade walks a chunk's (query, member) pairs in windows of
+#: at most this many pairs, bulk routing compares at most this many
+#: (object, cluster, dimension) bounds at once, and a chunk holds at most
+#: this many (query, cluster) prune-mask cells, so the working set of
+#: batch execution and bulk loading does not grow with the batch size or
+#: the database size.
+_PAIR_BLOCK = 131_072
 
 #: Signature bounds, in the order of the stacked signature matrix.
 _SIGNATURE_BOUNDS = ("start_low", "start_high", "end_low", "end_high")
@@ -478,7 +482,7 @@ class AdaptiveClusteringIndex(BackendBase):
         #: Member counts including this batch's earlier placements; built
         #: lazily when the first probability/refinement tie appears.
         counts: Optional[np.ndarray] = None
-        step = max(1, _PAIR_BUDGET // max(n_rows * self.dimensions, 1))
+        step = max(1, _PAIR_BLOCK // max(n_rows * self.dimensions, 1))
         for begin in range(0, total, step):
             stop = min(begin + step, total)
             chunk_lows = lows[begin:stop, None, :]
@@ -600,6 +604,13 @@ class AdaptiveClusteringIndex(BackendBase):
         split at reorganization boundaries so automatic reorganizations
         fire after the same query they would fire after in a loop —
         results are identical to executing the queries one at a time.
+
+        Memory stays bounded whatever the batch and database sizes: a
+        chunk holds at most ``_PAIR_BLOCK`` (query, cluster) prune-mask
+        cells, and member verification walks the chunk's (query, object)
+        pairs in windows of at most ``_PAIR_BLOCK`` pairs (about 8 MB of
+        temporaries), so beyond the results and the member matrix the
+        working set does not grow with the workload.
         """
         relation = SpatialRelation.parse(relation)
         query_list = list(queries)
@@ -625,11 +636,9 @@ class AdaptiveClusteringIndex(BackendBase):
             if chunked:
                 remaining = period - self._queries_since_reorganization
                 chunk = min(chunk, max(remaining, 1))
-            # Cap the chunk so the (query, object) pair expansion of the
-            # verification cascade stays bounded even for reorganization-free
-            # batches over large databases (worst case: every query explores
-            # every object).
-            chunk = min(chunk, max(1, _PAIR_BUDGET // max(self.n_objects, 1)))
+            # Cap the chunk so its (query, cluster) prune mask and visit
+            # list stay bounded even for reorganization-free batches.
+            chunk = min(chunk, max(1, _PAIR_BLOCK // self.n_clusters))
             end = position + chunk
             self._execute_query_chunk(
                 q_lows[position:end],
@@ -671,8 +680,9 @@ class AdaptiveClusteringIndex(BackendBase):
         1. one broadcasted signature comparison prunes all clusters for all
            queries at once;
         2. member verification expands the surviving (query, cluster) pairs
-           into a (query, object) pair list and narrows it one dimension at
-           a time — pairs that fail an early dimension never pay for the
+           into a (query, object) pair list, one window of ``_PAIR_BLOCK``
+           pairs at a time, and narrows each window one dimension at a
+           time — pairs that fail an early dimension never pay for the
            remaining ones, unlike the dense per-cluster broadcast;
         3. candidate query counters are updated for the explored clusters
            only — the paper's ``q(s)`` rule — from one histogram over those
@@ -733,17 +743,13 @@ class AdaptiveClusteringIndex(BackendBase):
         if keep_visit.any():
             v_col = visit_col[keep_visit]
             v_q = visit_q[keep_visit]
+            # The visits' members form one ragged list of (query, object)
+            # pairs; pair p of a visit starting at list position s is member
+            # column p + shift with shift = member_starts[col] - s.
             lengths = sizes[v_col]
-            # One fused repeat expands both the query index and the ragged
-            # arange offset for every pair.
-            block_starts = np.cumsum(lengths) - lengths
-            expanded = np.repeat(
-                np.stack([v_q, member_starts[v_col] - block_starts]),
-                lengths,
-                axis=1,
-            )
-            pair_q = expanded[0]
-            pair_obj = np.arange(int(lengths.sum()), dtype=np.int64) + expanded[1]
+            ends = np.cumsum(lengths)
+            shift = member_starts[v_col] - (ends - lengths)
+            total_pairs = int(ends[-1])
 
             q_lows_t = np.ascontiguousarray(q_lows.T)
             q_highs_t = np.ascontiguousarray(q_highs.T)
@@ -760,13 +766,15 @@ class AdaptiveClusteringIndex(BackendBase):
                 # CONTAINS
                 return (obj_low <= query_low) & (query_high <= obj_high)
 
-            # Evaluate the most selective dimensions first (estimated on a
-            # strided sample) so the pair list shrinks as fast as possible;
-            # the surviving set is the same whatever the order.
-            if pair_obj.size > 16_384:
-                step = max(1, pair_obj.size // 1024)
-                sample_obj = pair_obj[::step]
-                sample_q = pair_q[::step]
+            # Evaluate the most selective dimensions first (estimated once
+            # per chunk on a strided sample of the pair list) so the pairs
+            # shrink as fast as possible; the surviving set is the same
+            # whatever the order.
+            if total_pairs > 16_384:
+                sample = np.arange(0, total_pairs, max(1, total_pairs // 1024))
+                sample_visit = np.searchsorted(ends, sample, side="right")
+                sample_obj = sample + shift[sample_visit]
+                sample_q = v_q[sample_visit]
                 sample_rates = np.array(
                     [
                         dim_alive(dim, sample_obj, sample_q).mean()
@@ -777,13 +785,35 @@ class AdaptiveClusteringIndex(BackendBase):
             else:
                 dim_order = np.arange(dimensions)
 
-            for dim in dim_order:
-                if pair_obj.size == 0:
-                    break
-                alive = dim_alive(int(dim), pair_obj, pair_q)
-                survivors = np.flatnonzero(alive)
-                pair_obj = pair_obj.take(survivors)
-                pair_q = pair_q.take(survivors)
+            # Expand and narrow the pair list one window of _PAIR_BLOCK
+            # consecutive pairs at a time; survivors concatenate in visit
+            # order, exactly as if the whole list had been expanded at once.
+            kept_obj: List[np.ndarray] = []
+            kept_q: List[np.ndarray] = []
+            for begin in range(0, total_pairs, _PAIR_BLOCK):
+                stop = min(begin + _PAIR_BLOCK, total_pairs)
+                # Visits overlapping [begin, stop), clipped to the window.
+                first = int(np.searchsorted(ends, begin, side="right"))
+                last = int(np.searchsorted(ends, stop, side="left")) + 1
+                run = np.minimum(ends[first:last], stop) - np.maximum(
+                    ends[first:last] - lengths[first:last], begin
+                )
+                # One fused repeat expands both the query index and the
+                # member shift of every pair.
+                window_q, window_shift = np.repeat(
+                    np.stack([v_q[first:last], shift[first:last]]), run, axis=1
+                )
+                window_obj = np.arange(begin, stop, dtype=np.int64) + window_shift
+                for dim in dim_order:
+                    if window_obj.size == 0:
+                        break
+                    survivors = np.flatnonzero(dim_alive(int(dim), window_obj, window_q))
+                    window_obj = window_obj.take(survivors)
+                    window_q = window_q.take(survivors)
+                kept_obj.append(window_obj)
+                kept_q.append(window_q)
+            pair_obj = np.concatenate(kept_obj)
+            pair_q = np.concatenate(kept_q)
 
         # ---- candidate statistics: histogram over the explored clusters --
         grid = self._ensure_candidate_grid()
@@ -1061,18 +1091,18 @@ class AdaptiveClusteringIndex(BackendBase):
                 count=len(clusters),
             )
             starts = np.cumsum(sizes) - sizes
-            if int(sizes.sum()):
-                lows_t = np.ascontiguousarray(
-                    np.concatenate([cluster.store.lows for cluster in clusters]).T
-                )
-                highs_t = np.ascontiguousarray(
-                    np.concatenate([cluster.store.highs for cluster in clusters]).T
-                )
-                ids = np.concatenate([cluster.store.ids for cluster in clusters])
-            else:
-                lows_t = np.empty((self.dimensions, 0), dtype=np.float64)
-                highs_t = np.empty((self.dimensions, 0), dtype=np.float64)
-                ids = np.empty(0, dtype=np.int64)
+            total = int(sizes.sum())
+            # Each cluster's rows are transposed straight into place: no
+            # (n_objects, Nd) concatenation to transpose afterwards.
+            lows_t = np.empty((self.dimensions, total), dtype=np.float64)
+            highs_t = np.empty((self.dimensions, total), dtype=np.float64)
+            ids = np.empty(total, dtype=np.int64)
+            for cluster, start, size in zip(clusters, starts.tolist(), sizes.tolist()):
+                if size:
+                    store = cluster.store
+                    lows_t[:, start : start + size] = store.lows.T
+                    highs_t[:, start : start + size] = store.highs.T
+                    ids[start : start + size] = store.ids
             self._member_matrix = (lows_t, highs_t, ids, starts)
         return self._member_matrix
 
@@ -1362,6 +1392,17 @@ class AdaptiveClusteringIndex(BackendBase):
             raise AssertionError("the root cluster disappeared")
         if self._candidate_query_counts is not None and not self._candidate_views_valid():
             raise AssertionError("candidate q(s) vectors no longer alias the shared buffer")
+
+    def __getstate__(self) -> Dict[str, object]:
+        """State to pickle or deep-copy, without the derived member matrix.
+
+        The member matrix is a second copy of every member's bounds, rebuilt
+        lazily by the next batch query, so copies and shard state files do
+        not carry it.
+        """
+        state = self.__dict__.copy()
+        state["_member_matrix"] = None
+        return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         """Restore a pickled or deep-copied index.

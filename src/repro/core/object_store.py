@@ -5,7 +5,10 @@ benefit from sequential memory / disk access.  :class:`ObjectStore` keeps the
 member identifiers and bounds in pre-allocated NumPy arrays with spare
 capacity at the end (the *reserved slots* of Section 6) so insertions rarely
 require re-allocation, and exposes the bulk views the query executor and the
-reorganizer need.
+reorganizer need.  Removals that leave a store less than half full shrink it
+back to the growth factor's headroom, so the splits and merges that move
+members out do not leave stores mostly empty (the paper targets a slot
+utilisation of at least 0.7).
 """
 
 from __future__ import annotations
@@ -160,6 +163,7 @@ class ObjectStore:
         self._lows[:kept] = self.lows[keep]
         self._highs[:kept] = self.highs[keep]
         self._size = kept
+        self._maybe_shrink()
         return removed_ids, removed_lows, removed_highs
 
     def remove_id(self, object_id: int) -> Optional[HyperRectangle]:
@@ -175,6 +179,7 @@ class ObjectStore:
             self._lows[row] = self._lows[last]
             self._highs[row] = self._highs[last]
         self._size = last
+        self._maybe_shrink()
         return box
 
     def drain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,11 +188,13 @@ class ObjectStore:
         lows = self.lows.copy()
         highs = self.highs.copy()
         self._size = 0
+        self._maybe_shrink()
         return ids, lows, highs
 
     def clear(self) -> None:
         """Drop every member without returning them."""
         self._size = 0
+        self._maybe_shrink()
 
     # ------------------------------------------------------------------
     # Capacity management
@@ -199,17 +206,33 @@ class ObjectStore:
     def _ensure_capacity(self, needed: int) -> bool:
         if needed <= self.capacity:
             return False
-        new_capacity = max(needed, int(np.ceil(self.capacity * self._growth)), _MIN_CAPACITY)
-        new_ids = np.empty(new_capacity, dtype=np.int64)
-        new_lows = np.empty((new_capacity, self._dimensions), dtype=np.float64)
-        new_highs = np.empty((new_capacity, self._dimensions), dtype=np.float64)
+        self._reallocate(max(needed, int(np.ceil(self.capacity * self._growth)), _MIN_CAPACITY))
+        return True
+
+    def _maybe_shrink(self) -> None:
+        """Release slots once a removal leaves the store less than half full.
+
+        The store shrinks to the growth factor's headroom over its members
+        (utilisation ``1 / growth``, 0.8 by default).  Shrinking below half
+        and growing above full leave a wide band in between, so alternating
+        insertions and removals never reallocate on every call.
+        """
+        if 2 * self._size >= self.capacity:
+            return
+        capacity = max(int(np.ceil(self._size * self._growth)), _MIN_CAPACITY)
+        if capacity < self.capacity:
+            self._reallocate(capacity)
+
+    def _reallocate(self, capacity: int) -> None:
+        new_ids = np.empty(capacity, dtype=np.int64)
+        new_lows = np.empty((capacity, self._dimensions), dtype=np.float64)
+        new_highs = np.empty((capacity, self._dimensions), dtype=np.float64)
         new_ids[: self._size] = self.ids
         new_lows[: self._size] = self.lows
         new_highs[: self._size] = self.highs
         self._ids = new_ids
         self._lows = new_lows
         self._highs = new_highs
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

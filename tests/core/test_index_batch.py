@@ -252,6 +252,9 @@ class TestSingleQueryStream:
         base.execute_batch(queries[:5], relation)
         loop_index = copy.deepcopy(base)
         batch_index = duplicate(base)
+        # The derived member matrix stays behind; the copy rebuilds it.
+        assert base._member_matrix is not None
+        assert batch_index._member_matrix is None
 
         loop_results, loop_execs = run_loop(loop_index, queries, relation)
         batch_results, batch_execs = run_single_query_batches(batch_index, queries, relation)

@@ -41,6 +41,14 @@ def warm_up(index, workload, queries=400):
         index.query(workload.queries[i % len(workload.queries)], workload.relation)
 
 
+def assert_stores_compact(index):
+    """Splits and merges leave no member store mostly empty (paper: >= 0.7 used)."""
+    stores = [cluster.store for cluster in index.clusters()]
+    for store in stores:
+        assert 2 * len(store) >= store.capacity or store.capacity == 8
+    assert index.n_objects / sum(store.capacity for store in stores) >= 0.7
+
+
 class TestSplitting:
     def test_queries_trigger_clustering(self, dataset, workload):
         index = build_index(dataset)
@@ -123,8 +131,10 @@ class TestAdaptation:
         index = build_index(dataset, reset_statistics_on_reorganization=True)
         warm_up(index, selective)
         clusters_after_selective = index.n_clusters
+        assert_stores_compact(index)
         warm_up(index, broad, queries=800)
         assert index.n_clusters < clusters_after_selective
+        assert_stores_compact(index)
         index.check_invariants()
 
     def test_modeled_time_never_worse_than_sequential_scan(self, dataset, workload):

@@ -148,3 +148,48 @@ class TestIntrospection:
         store.append(1, box(0.1, 0.2))
         lows_view = store.lows
         assert lows_view.shape == (1, 1)
+
+
+class TestShrink:
+    @staticmethod
+    def filled(count):
+        store = ObjectStore(1)
+        ids = np.arange(count, dtype=np.int64)
+        bounds = np.linspace(0.0, 1.0, count)[:, None]
+        store.extend(ids, bounds, bounds)
+        return store
+
+    def test_remove_mask_below_half_shrinks_to_growth_headroom(self):
+        store = self.filled(100)
+        store.remove_mask(store.ids >= 40)
+        assert len(store) == 40
+        assert store.capacity == 50  # ceil(40 * 1.25)
+        assert store.ids.tolist() == list(range(40))
+        assert store.lows[:, 0].tolist() == np.linspace(0.0, 1.0, 100)[:40].tolist()
+
+    def test_removals_above_half_keep_the_allocation(self):
+        store = self.filled(100)
+        for object_id in range(99, 69, -1):
+            store.remove_id(object_id)
+        store.remove_mask(store.ids >= 50)
+        assert len(store) == 50
+        assert store.capacity == 100
+        store.remove_id(0)  # 49 of 100: below half
+        assert store.capacity == 62
+        assert sorted(store.ids.tolist()) == list(range(1, 50))
+
+    def test_drain_and_clear_release_the_slots(self):
+        store = self.filled(100)
+        ids, _, _ = store.drain()
+        assert ids.size == 100
+        assert store.capacity == 8
+        store = self.filled(100)
+        store.clear()
+        assert store.capacity == 8
+
+    def test_regrowth_after_shrinking(self):
+        store = self.filled(100)
+        store.remove_mask(store.ids >= 10)
+        store.extend(np.arange(100, 200), np.zeros((100, 1)), np.ones((100, 1)))
+        assert len(store) == 110
+        assert store.ids.tolist() == list(range(10)) + list(range(100, 200))
