@@ -11,6 +11,11 @@ the set tracks the two performance indicators used by the benefit functions:
   candidate's signature (a proxy for the access probability the candidate
   would have if it were materialized).
 
+Inside an index, batch execution defers ``q`` increments to a visit log that
+the index folds in before ``q`` is read (see
+:meth:`repro.core.index.AdaptiveClusteringIndex.execute_batch`); reading
+:attr:`CandidateSet.query_counts` runs that fold, so every read is exact.
+
 Because every candidate differs from its parent signature in exactly one
 dimension, matching a candidate reduces to testing that single dimension —
 membership in the parent is already known for the cluster's member objects
@@ -19,6 +24,8 @@ candidates column-wise in NumPy arrays and evaluates all of them at once.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -71,7 +78,8 @@ class CandidateSet:
         "end_low",
         "end_high",
         "object_counts",
-        "query_counts",
+        "_query_counts",
+        "fold_pending",
     )
 
     def __init__(self, parent_signature: ClusterSignature, columns: CandidateColumns) -> None:
@@ -80,8 +88,36 @@ class CandidateSet:
         count = len(self.dimension)
         #: ``n(s)`` per candidate — member objects matching the candidate.
         self.object_counts = np.zeros(count, dtype=np.int64)
-        #: ``q(s)`` per candidate — queries matching the candidate.
-        self.query_counts = np.zeros(count, dtype=np.int64)
+        self._query_counts = np.zeros(count, dtype=np.int64)
+        #: Applies the owning index's pending ``q(s)`` increments; ``None``
+        #: outside an index.  Set by the index, dropped from copies.
+        self.fold_pending: Optional[Callable[[], None]] = None
+
+    @property
+    def query_counts(self) -> np.ndarray:
+        """``q(s)`` per candidate — queries matching the candidate.
+
+        Reading it first folds the owning index's pending visits in, so the
+        counters are exact at every read.
+        """
+        if self.fold_pending is not None:
+            self.fold_pending()
+        return self._query_counts
+
+    @query_counts.setter
+    def query_counts(self, counts: np.ndarray) -> None:
+        self._query_counts = counts
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Slots to pickle or copy: folded ``q(s)``, without the index hook."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_query_counts"] = self.query_counts
+        state["fold_pending"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # Construction
@@ -188,7 +224,8 @@ class CandidateSet:
         if len(self) == 0:
             return
         mask = self.query_match_mask(query, relation)
-        self.query_counts[mask] += 1
+        # An increment commutes with the pending ones: no fold needed.
+        self._query_counts[mask] += 1
 
     def record_insertion(self, obj: HyperRectangle) -> None:
         """Increment ``n(s)`` for every candidate matched by the inserted object."""

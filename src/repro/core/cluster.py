@@ -39,8 +39,7 @@ class Cluster:
         "candidates",
         "parent_id",
         "children_ids",
-        "query_count",
-        "creation_query",
+        "statistics",
     )
 
     def __init__(
@@ -64,11 +63,29 @@ class Cluster:
         self.parent_id = parent_id
         #: Identifiers of the materialized child clusters.
         self.children_ids: Set[int] = set()
-        #: ``q(c)`` — queries that explored the cluster in the current window.
-        self.query_count = 0
-        #: Total query count of the index when the cluster's statistics
-        #: window started (used to normalise the access probability).
-        self.creation_query = creation_query
+        #: ``[q(c), window start]`` — see :attr:`query_count` and
+        #: :attr:`creation_query`.  Inside an index this is a row view of
+        #: the index's stacked statistics buffer, so batch execution updates
+        #: ``q(c)`` of every explored cluster with one vectorised add.
+        self.statistics = np.array([0, creation_query], dtype=np.int64)
+
+    @property
+    def query_count(self) -> int:
+        """``q(c)`` — queries that explored the cluster in the current window."""
+        return int(self.statistics[0])
+
+    @query_count.setter
+    def query_count(self, value: int) -> None:
+        self.statistics[0] = value
+
+    @property
+    def creation_query(self) -> int:
+        """Query total at which the statistics window started (normalises ``p(c)``)."""
+        return int(self.statistics[1])
+
+    @creation_query.setter
+    def creation_query(self, value: int) -> None:
+        self.statistics[1] = value
 
     # ------------------------------------------------------------------
     # Performance indicators
@@ -107,8 +124,7 @@ class Cluster:
 
     def reset_statistics(self, total_queries: int) -> None:
         """Start a new statistics window (track drifting query distributions)."""
-        self.query_count = 0
-        self.creation_query = total_queries
+        self.statistics[:] = (0, total_queries)
         self.candidates.reset_query_counts()
 
     def ensure_materialized(self) -> None:
@@ -205,7 +221,7 @@ class Cluster:
 
     def record_exploration(self, query: HyperRectangle, relation: SpatialRelation) -> None:
         """Update the cluster's and its candidates' query statistics."""
-        self.query_count += 1
+        self.statistics[0] += 1
         self.candidates.record_query(query, relation)
 
     # ------------------------------------------------------------------

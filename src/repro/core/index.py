@@ -26,6 +26,21 @@ Public interface
     triggered every ``reorganization_period`` queries.
 ``snapshot()`` / ``check_invariants()``
     Introspection helpers used by tests, examples and experiments.
+
+Statistics
+----------
+A query pays for what the cost model charges it: signature checks,
+explored clusters and verified members.  ``q(c)`` of the explored clusters
+is updated with one vectorised add on a stacked per-row buffer, but the
+candidate counters ``q(s)``, which only the reorganization pass reads, are
+not touched on the query path: batch execution appends its visits, as
+(signature row, query bounds) pairs, to a pending log of at most
+``_PAIR_BLOCK`` bound values per side, and one fold applies the whole log
+with a grid histogram before anything reads ``q(s)`` — the reorganization
+pass, ``reset_statistics``, saving, pickling or copying, invariant checks
+and any read of ``CandidateSet.query_counts``.  A full log, a change of
+relation and a change of the signature rows fold too.  Every ``q(s)`` read
+therefore equals the per-query loop's value.
 """
 
 from __future__ import annotations
@@ -52,10 +67,12 @@ from repro.storage import StorageBackend, storage_for_scenario
 #: Block size of the vectorised batch kernels, in array elements.  The
 #: verification cascade walks a chunk's (query, member) pairs in windows of
 #: at most this many pairs, bulk routing compares at most this many
-#: (object, cluster, dimension) bounds at once, and a chunk holds at most
-#: this many (query, cluster) prune-mask cells, so the working set of
-#: batch execution and bulk loading does not grow with the batch size or
-#: the database size.
+#: (object, cluster, dimension) bounds at once, a chunk holds at most this
+#: many (query, cluster) prune-mask cells and prunes as many dimensions per
+#: step as keep its (query, cluster, dimension) comparisons within it, and
+#: the pending ``q(s)`` visit log holds at most this many query bounds per
+#: side, so the working set of batch execution and bulk loading does not
+#: grow with the batch size or the database size.
 _PAIR_BLOCK = 131_072
 
 #: Signature bounds, in the order of the stacked signature matrix.
@@ -150,6 +167,18 @@ class AdaptiveClusteringIndex(BackendBase):
         # None = not built yet; () = verification failed, use the pairwise
         # path.
         self._candidate_grid: "Optional[Tuple[np.ndarray, ...]]" = None
+        # ``[q(c), window start]`` of every cluster in signature-matrix row
+        # order; every cluster's ``statistics`` is a row view of it, so batch
+        # execution updates q(c) with one vectorised add and insertion
+        # routing reads every access probability at once.
+        self._cluster_statistics: Optional[np.ndarray] = None
+        # Pending q(s) visit log (see _log_visits / _fold_statistics):
+        # ``(rows, query lows, query highs)`` buffers, allocated on first
+        # use, of which the first ``_pending_visits`` entries, all for
+        # ``_pending_relation``, are not yet counted.
+        self._visit_log: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._pending_visits = 0
+        self._pending_relation: Optional[SpatialRelation] = None
         # Transposed concatenation of every cluster's member bounds, kept
         # contiguous per dimension so the verification cascade gathers from
         # cache-friendly rows.  Invalidated by any member mutation.
@@ -449,12 +478,21 @@ class AdaptiveClusteringIndex(BackendBase):
         row = int(self._route_objects_bulk(obj.lows[None, :], obj.highs[None, :])[0])
         return self._clusters[self._signature_cluster_ids[row]]
 
-    def _cluster_access_probabilities(self) -> np.ndarray:
-        """Access probability of every cluster, in signature-matrix row order."""
-        total = self._total_queries
-        probabilities = np.empty(len(self._signature_cluster_ids), dtype=np.float64)
-        for row, cluster_id in enumerate(self._signature_cluster_ids):
-            probabilities[row] = self._clusters[cluster_id].access_probability(total)
+    def _cluster_access_probabilities(self, root_row: int) -> np.ndarray:
+        """Access probability of every cluster, in signature-matrix row order.
+
+        :meth:`Cluster.access_probability` over the stacked statistics:
+        ``min(q(c) / window, 1)``, 0 for an empty window and 1 for the root.
+        The counts convert to float64 exactly, so the quotients are
+        bit-identical to the per-cluster ones.
+        """
+        query_counts, window_starts = self._cluster_statistics.T
+        windows = self._total_queries - window_starts
+        probabilities = np.minimum(
+            np.divide(query_counts, windows, out=np.zeros(windows.shape), where=windows > 0),
+            1.0,
+        )
+        probabilities[root_row] = 1.0
         return probabilities
 
     def _route_objects_bulk(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -474,7 +512,7 @@ class AdaptiveClusteringIndex(BackendBase):
         start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
         n_rows = len(self._signature_cluster_ids)
         root_row = self._signature_cluster_ids.index(self._root_id)
-        probabilities = self._cluster_access_probabilities()
+        probabilities = self._cluster_access_probabilities(root_row)
         constrained = self._signature_constrained
 
         total = lows.shape[0]
@@ -611,6 +649,11 @@ class AdaptiveClusteringIndex(BackendBase):
         pairs in windows of at most ``_PAIR_BLOCK`` pairs (about 8 MB of
         temporaries), so beyond the results and the member matrix the
         working set does not grow with the workload.
+
+        Candidate counters ``q(s)`` are not updated here: every chunk logs
+        its visits and the log is folded in once, before the next read of
+        ``q(s)`` (normally the reorganization pass at the period boundary),
+        so a one-event publish pays only for pruning and verification.
         """
         relation = SpatialRelation.parse(relation)
         query_list = list(queries)
@@ -678,47 +721,59 @@ class AdaptiveClusteringIndex(BackendBase):
         The whole slice runs as a handful of fused array computations:
 
         1. one broadcasted signature comparison prunes all clusters for all
-           queries at once;
+           queries at once, testing as many dimensions per step as keep the
+           (query, cluster, dimension) comparisons within ``_PAIR_BLOCK`` —
+           all of them for a one-event publish, one for a large chunk;
         2. member verification expands the surviving (query, cluster) pairs
            into a (query, object) pair list, one window of ``_PAIR_BLOCK``
            pairs at a time, and narrows each window one dimension at a
            time — pairs that fail an early dimension never pay for the
            remaining ones, unlike the dense per-cluster broadcast;
-        3. candidate query counters are updated for the explored clusters
-           only — the paper's ``q(s)`` rule — from one histogram over those
-           clusters, so the cost scales with the visits, not with the
-           number of clusters.
+        3. ``q(c)`` of every cluster grows by its visit count in one
+           vectorised add, and the visits are appended to the pending
+           ``q(s)`` log (see :meth:`_log_visits`), which is folded in per
+           reorganization period rather than per chunk.
         """
         start = time.perf_counter()
         count = q_lows.shape[0]
         start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
-        # Prune all clusters for all queries, one dimension at a time on a
-        # cache-resident (queries, clusters) mask.
+        n_clusters = self.n_clusters
+        dimensions = self.dimensions
+        # Prune all clusters for all queries on a (queries, clusters) mask,
+        # a block of dimensions at a time so the (queries, block, clusters)
+        # comparisons stay within _PAIR_BLOCK elements.  The two signature
+        # bounds the relation tests are transposed to (Nd, clusters) rows,
+        # so every comparison runs along contiguous cluster rows.
+        width = max(1, _PAIR_BLOCK // (count * n_clusters))
+        if relation is SpatialRelation.CONTAINED_BY:
+            bound_a, bound_b = start_high, end_low
+        else:
+            bound_a, bound_b = start_low, end_high
+        bound_a = np.ascontiguousarray(bound_a.T)
+        bound_b = np.ascontiguousarray(bound_b.T)
         explore: Optional[np.ndarray] = None
-        for dim in range(self.dimensions):
+        for begin in range(0, dimensions, width):
+            dims = slice(begin, begin + width)
+            sig_a = bound_a[None, dims]
+            sig_b = bound_b[None, dims]
+            lows = q_lows[:, dims, None]
+            highs = q_highs[:, dims, None]
             if relation is SpatialRelation.INTERSECTS:
-                admits = (start_low[:, dim][None, :] <= q_highs[:, dim][:, None]) & (
-                    end_high[:, dim][None, :] >= q_lows[:, dim][:, None]
-                )
+                admits = (sig_a <= highs) & (sig_b >= lows)
             elif relation is SpatialRelation.CONTAINED_BY:
-                admits = (start_high[:, dim][None, :] >= q_lows[:, dim][:, None]) & (
-                    end_low[:, dim][None, :] <= q_highs[:, dim][:, None]
-                )
+                admits = (sig_a >= lows) & (sig_b <= highs)
             elif relation is SpatialRelation.CONTAINS:
-                admits = (start_low[:, dim][None, :] <= q_lows[:, dim][:, None]) & (
-                    end_high[:, dim][None, :] >= q_highs[:, dim][:, None]
-                )
+                admits = (sig_a <= lows) & (sig_b >= highs)
             else:  # pragma: no cover - relation is validated by the caller
                 raise ValueError(f"unsupported relation: {relation!r}")
+            admits = admits.all(axis=1)
             if explore is None:
                 explore = admits
             else:
                 np.logical_and(explore, admits, out=explore)
 
-        n_clusters = self.n_clusters
         object_bytes = self._config.cost.object_bytes
         disk = self._config.scenario is StorageScenario.DISK
-        dimensions = self.dimensions
         groups_explored = explore.sum(axis=1)
 
         member_lows_t, member_highs_t, member_ids, member_starts = self._ensure_member_matrix()
@@ -733,9 +788,8 @@ class AdaptiveClusteringIndex(BackendBase):
         visits_per_col = explore.sum(axis=0)
         explored_cols = np.flatnonzero(visits_per_col)
         self._storage.on_cluster_reads_bulk(sizes[explored_cols], visits_per_col[explored_cols])
-        for column in explored_cols:
-            cluster = self._clusters[self._signature_cluster_ids[int(column)]]
-            cluster.query_count += int(visits_per_col[column])
+        self._cluster_statistics[:, 0] += visits_per_col
+        self._log_visits(visit_col, q_lows, q_highs, visit_q, relation)
 
         # ---- member verification: (query, object) pair cascade ----------
         keep_visit = sizes[visit_col] > 0
@@ -815,93 +869,6 @@ class AdaptiveClusteringIndex(BackendBase):
             pair_obj = np.concatenate(kept_obj)
             pair_q = np.concatenate(kept_q)
 
-        # ---- candidate statistics: histogram over the explored clusters --
-        grid = self._ensure_candidate_grid()
-        cand_dim, cand_sl, cand_sh, cand_el, cand_eh = self._candidate_matrix
-        cand_offsets = self._candidate_offsets
-        cand_counts = cand_offsets[1:] - cand_offsets[:-1]
-        if grid is not None and visit_col.size and int(cand_offsets[-1]):
-            grid_s_low, grid_s_high, grid_e_low, grid_e_high, cell_prefix, cell_suffix = grid
-            factor = self._config.division_factor
-            side = factor + 1
-            visit_q_lows = q_lows[visit_q][:, :, None]
-            visit_q_highs = q_highs[visit_q][:, :, None]
-            if relation is SpatialRelation.INTERSECTS:
-                pass_a = (grid_s_low[visit_col] <= visit_q_highs).sum(axis=2)
-                pass_b = (grid_e_high[visit_col] >= visit_q_lows).sum(axis=2)
-                cells = cell_prefix
-            elif relation is SpatialRelation.CONTAINED_BY:
-                pass_a = (grid_s_high[visit_col] >= visit_q_lows).sum(axis=2)
-                pass_b = (grid_e_low[visit_col] <= visit_q_highs).sum(axis=2)
-                cells = cell_suffix
-            else:  # CONTAINS
-                pass_a = (grid_s_low[visit_col] <= visit_q_lows).sum(axis=2)
-                pass_b = (grid_e_high[visit_col] >= visit_q_highs).sum(axis=2)
-                cells = cell_prefix
-            # Histogram over (f - pass_a, f - pass_b, explored row · Nd +
-            # dimension).  Explored rows are the compact positions of the
-            # explored clusters (visit_col is ascending, so each explored
-            # column's visits form one run); unexplored clusters would only
-            # contribute zeros.  Prefix sums along the two leading axes, as
-            # adds of whole contiguous rows, turn it into
-            # at_least[f - tA, f - tB, row] = number of visits with
-            # pass_a >= tA and pass_b >= tB.
-            n_explored = explored_cols.size
-            width = n_explored * dimensions
-            compact = np.repeat(np.arange(n_explored) * dimensions, visits_per_col[explored_cols])
-            code = ((factor - pass_a) * side + (factor - pass_b)) * width + (
-                compact[:, None] + np.arange(dimensions)
-            )
-            at_least = np.bincount(code.ravel(), minlength=side * side * width)
-            plane = at_least.reshape(side, side, width)
-            for step in range(1, side):
-                plane[step] += plane[step - 1]
-            for step in range(1, side):
-                plane[:, step] += plane[:, step - 1]
-            # Candidate rows of the explored clusters, and their histogram
-            # entries: the candidate's cell, its cluster's explored row and
-            # its refined dimension.
-            lengths = cand_counts[explored_cols]
-            cand_idx = self._ragged_arange(lengths, cand_offsets[explored_cols])
-            entries = (
-                cells.take(cand_idx) * width
-                + np.repeat(np.arange(n_explored) * dimensions, lengths)
-                + cand_dim.take(cand_idx)
-            )
-            # cand_idx is unique, so the fancy add writes each counter once.
-            self._candidate_query_counts[cand_idx] += at_least.take(entries)
-            with_cands = np.zeros(0, dtype=bool)
-        else:
-            with_cands = cand_counts[visit_col] > 0
-        if with_cands.any():
-            c_col = visit_col[with_cands]
-            c_q = visit_q[with_cands]
-            lengths = cand_counts[c_col]
-            cq = np.repeat(c_q, lengths)
-            cand_idx = self._ragged_arange(lengths, cand_offsets[:-1][c_col])
-            # Flattened (dimension, query) lookup: one contiguous gather per
-            # bound instead of two 2-d fancy gathers.
-            flat = cand_dim.take(cand_idx) * count + cq
-            q_lows_flat = np.ascontiguousarray(q_lows.T).ravel()
-            q_highs_flat = np.ascontiguousarray(q_highs.T).ravel()
-            query_low = q_lows_flat.take(flat)
-            query_high = q_highs_flat.take(flat)
-            if relation is SpatialRelation.INTERSECTS:
-                matched = (cand_sl.take(cand_idx) <= query_high) & (
-                    cand_eh.take(cand_idx) >= query_low
-                )
-            elif relation is SpatialRelation.CONTAINED_BY:
-                matched = (cand_sh.take(cand_idx) >= query_low) & (
-                    cand_el.take(cand_idx) <= query_high
-                )
-            else:  # CONTAINS
-                matched = (cand_sl.take(cand_idx) <= query_low) & (
-                    cand_eh.take(cand_idx) >= query_high
-                )
-            self._candidate_query_counts += np.bincount(
-                cand_idx, weights=matched, minlength=int(cand_offsets[-1])
-            ).astype(np.int64)
-
         # ---- per-query results and counters -----------------------------
         if pair_q is not None and pair_q.size:
             matched_ids = member_ids.take(pair_obj)
@@ -931,9 +898,181 @@ class AdaptiveClusteringIndex(BackendBase):
             )
 
     # ------------------------------------------------------------------
+    # Candidate statistics: the pending q(s) visit log
+    # ------------------------------------------------------------------
+    def _log_visits(
+        self,
+        rows: np.ndarray,
+        q_lows: np.ndarray,
+        q_highs: np.ndarray,
+        visit_q: np.ndarray,
+        relation: SpatialRelation,
+    ) -> None:
+        """Defer the ``q(s)`` increments of a chunk's visits to the pending log.
+
+        Visit ``k`` explored the cluster at signature row ``rows[k]`` for
+        the query with bounds ``q_lows[visit_q[k]]`` / ``q_highs[...]``.
+        The log holds at most ``_PAIR_BLOCK // Nd`` visits of one relation;
+        a full log or another relation folds the pending visits first.
+        """
+        if self._visit_log is None:
+            # Nothing is pending without a log: copies fold before dropping it.
+            capacity = max(1, _PAIR_BLOCK // self.dimensions)
+            self._visit_log = (
+                np.empty(capacity, dtype=np.int64),
+                np.empty((capacity, self.dimensions), dtype=np.float64),
+                np.empty((capacity, self.dimensions), dtype=np.float64),
+            )
+        log_rows, log_lows, log_highs = self._visit_log
+        capacity = log_rows.shape[0]
+        if relation is not self._pending_relation:
+            self._fold_statistics()
+            self._pending_relation = relation
+        for begin in range(0, rows.size, capacity):
+            stop = min(begin + capacity, rows.size)
+            if self._pending_visits + stop - begin > capacity:
+                self._fold_statistics()
+            first = self._pending_visits
+            last = first + stop - begin
+            log_rows[first:last] = rows[begin:stop]
+            np.take(q_lows, visit_q[begin:stop], axis=0, out=log_lows[first:last])
+            np.take(q_highs, visit_q[begin:stop], axis=0, out=log_highs[first:last])
+            self._pending_visits = last
+
+    def _fold_statistics(self) -> None:
+        """Apply every pending visit to ``q(s)``, then empty the log.
+
+        The log's rows refer to the current signature rows, so it is folded
+        before they change (:meth:`_splice_signature_rows`) and before any
+        read of ``q(s)``: :attr:`CandidateSet.query_counts` calls back here,
+        and pickling or copying the index folds first.
+
+        The clustering function derives candidates from a per-dimension
+        grid (see :meth:`_ensure_candidate_grid`), so the matching
+        candidates of all visits are counted with one histogram over
+        (grid pass counts, explored row, dimension) instead of one
+        comparison per (candidate, visit) pair: the cost scales with the
+        visits and the explored clusters, not with the candidate families.
+        """
+        count = self._pending_visits
+        if not count:
+            return
+        self._pending_visits = 0
+        log_rows, log_lows, log_highs = self._visit_log
+        rows = log_rows[:count]
+        lows = log_lows[:count]
+        highs = log_highs[:count]
+        relation = self._pending_relation
+        dimensions = self.dimensions
+        cand_dim, cand_sl, cand_sh, cand_el, cand_eh = self._candidate_matrix
+        cand_offsets = self._candidate_offsets
+        cand_counts = cand_offsets[1:] - cand_offsets[:-1]
+        if not int(cand_offsets[-1]):
+            return
+        grid = self._ensure_candidate_grid()
+        if grid is None:
+            # Pairwise: one comparison per (candidate, visit) pair.
+            lengths = cand_counts[rows]
+            cand_idx = self._ragged_arange(lengths, cand_offsets[:-1][rows])
+            # Flattened (visit, dimension) lookup into the logged bounds.
+            flat = np.repeat(np.arange(count) * dimensions, lengths) + cand_dim.take(cand_idx)
+            query_low = lows.ravel().take(flat)
+            query_high = highs.ravel().take(flat)
+            if relation is SpatialRelation.INTERSECTS:
+                matched = (cand_sl.take(cand_idx) <= query_high) & (
+                    cand_eh.take(cand_idx) >= query_low
+                )
+            elif relation is SpatialRelation.CONTAINED_BY:
+                matched = (cand_sh.take(cand_idx) >= query_low) & (
+                    cand_el.take(cand_idx) <= query_high
+                )
+            else:  # CONTAINS
+                matched = (cand_sl.take(cand_idx) <= query_low) & (
+                    cand_eh.take(cand_idx) >= query_high
+                )
+            self._candidate_query_counts += np.bincount(
+                cand_idx, weights=matched, minlength=int(cand_offsets[-1])
+            ).astype(np.int64)
+            return
+
+        grid_s_low, grid_s_high, grid_e_low, grid_e_high, cell_prefix, cell_suffix = grid
+        factor = self._config.division_factor
+        side = factor + 1
+
+        def passes(values: np.ndarray, compare: np.ufunc, bounds: np.ndarray) -> np.ndarray:
+            """Per (visit, dimension): how many of the row's ``f`` grid values pass."""
+            # One 2-d comparison per grid value: far cheaper than summing a
+            # (visits, Nd, f) comparison over its short last axis.
+            counts = np.zeros(bounds.shape, dtype=np.int64)
+            for step in range(factor):
+                counts += compare(values[:, :, step].take(rows, axis=0), bounds)
+            return counts
+
+        if relation is SpatialRelation.INTERSECTS:
+            pass_a = passes(grid_s_low, np.less_equal, highs)
+            pass_b = passes(grid_e_high, np.greater_equal, lows)
+            cells = cell_prefix
+        elif relation is SpatialRelation.CONTAINED_BY:
+            pass_a = passes(grid_s_high, np.greater_equal, lows)
+            pass_b = passes(grid_e_low, np.less_equal, highs)
+            cells = cell_suffix
+        else:  # CONTAINS
+            pass_a = passes(grid_s_low, np.less_equal, lows)
+            pass_b = passes(grid_e_high, np.greater_equal, highs)
+            cells = cell_prefix
+        # Histogram over (f - pass_a, f - pass_b, explored row · Nd +
+        # dimension), where explored rows number the visited clusters in
+        # ascending row order; clusters without visits would only
+        # contribute zeros.  Prefix sums along the two leading axes, as adds
+        # of whole contiguous rows, turn it into at_least[f - tA, f - tB,
+        # row] = number of visits with pass_a >= tA and pass_b >= tB.
+        visited = np.bincount(rows, minlength=cand_counts.size) > 0
+        explored_rows = np.flatnonzero(visited)
+        n_explored = explored_rows.size
+        width = n_explored * dimensions
+        # The histogram code, built in place in pass_a's array so the fold
+        # never holds more than two (visits, Nd) arrays.
+        code = pass_a
+        code *= -side
+        code -= pass_b
+        del pass_b
+        code += factor * side + factor
+        code *= width
+        code += (np.cumsum(visited) - 1).take(rows)[:, None] * dimensions + np.arange(dimensions)
+        at_least = np.bincount(code.ravel(), minlength=side * side * width)
+        del code, pass_a
+        plane = at_least.reshape(side, side, width)
+        for step in range(1, side):
+            plane[step] += plane[step - 1]
+        for step in range(1, side):
+            plane[:, step] += plane[:, step - 1]
+        # Candidate rows of the explored clusters, and their histogram
+        # entries: the candidate's cell, its cluster's explored row and its
+        # refined dimension.  Taken for a block of explored clusters at a
+        # time, at most _PAIR_BLOCK // Nd candidates, so these temporaries
+        # stay small next to the histogram.
+        lengths = cand_counts[explored_rows]
+        per_block = max(1, _PAIR_BLOCK // (dimensions * max(int(lengths.max()), 1)))
+        for begin in range(0, n_explored, per_block):
+            stop = begin + per_block
+            block = lengths[begin:stop]
+            cand_idx = self._ragged_arange(block, cand_offsets[explored_rows[begin:stop]])
+            entries = cells.take(cand_idx)
+            entries *= width
+            entries += np.repeat(np.arange(begin, begin + block.size) * dimensions, block)
+            entries += cand_dim.take(cand_idx)
+            # cand_idx is unique, so the fancy add writes each counter once.
+            self._candidate_query_counts[cand_idx] += at_least.take(entries)
+
+    # ------------------------------------------------------------------
     # Vectorised cluster pruning
     # ------------------------------------------------------------------
     def _invalidate_signature_matrix(self) -> None:
+        """Forget every stacked matrix (restore paths, which replace every cluster).
+
+        The pending visit log refers to rows of the replaced clusters, so
+        it is dropped, not folded.
+        """
         self._signature_matrix = None
         self._signature_cluster_ids = []
         self._signature_constrained = None
@@ -942,6 +1081,8 @@ class AdaptiveClusteringIndex(BackendBase):
         self._candidate_offsets = None
         self._candidate_query_counts = None
         self._candidate_grid = None
+        self._cluster_statistics = None
+        self._pending_visits = 0
         self._member_matrix = None
 
     def _invalidate_member_matrix(self) -> None:
@@ -966,18 +1107,21 @@ class AdaptiveClusteringIndex(BackendBase):
         self._candidate_offsets = np.zeros(1, dtype=np.int64)
         self._candidate_query_counts = np.empty(0, dtype=np.int64)
         self._candidate_grid = None
+        self._cluster_statistics = np.empty((0, 2), dtype=np.int64)
         self._splice_signature_rows()
 
     def _splice_signature_rows(self) -> None:
         """Apply every cluster created or removed since the last splice at once.
 
         Rows of clusters merged away are dropped from the signature rows,
-        the candidate columns and offsets, the shared ``q(s)`` buffer and
-        the candidate grid; clusters created since are appended.  Cluster
-        ids grow monotonically, so the rows stay in ascending id order.
-        Kept rows are copied, not recomputed, so the cost is one pass over
-        the stacked arrays plus the work for the new clusters.
+        the candidate columns and offsets, the shared ``q(s)`` and ``q(c)``
+        buffers and the candidate grid; clusters created since are
+        appended.  Cluster ids grow monotonically, so the rows stay in
+        ascending id order.  Kept rows are copied, not recomputed, so the
+        cost is one pass over the stacked arrays plus the work for the new
+        clusters.  Pending visits name the old rows: they are folded first.
         """
+        self._fold_statistics()
         row_ids = self._signature_cluster_ids
         last = row_ids[-1] if row_ids else -1
         keep = np.fromiter(
@@ -1026,43 +1170,56 @@ class AdaptiveClusteringIndex(BackendBase):
                 np.concatenate([old[mask], new])
                 for old, mask, new in zip(self._candidate_grid, masks, new_grid)
             )
-        self._adopt_candidate_query_counts(
+        self._adopt_statistics(
             np.concatenate(
                 [self._candidate_query_counts[cand_keep]]
                 + [cands.query_counts for cands in new_sets]
-            )
+            ),
+            np.concatenate(
+                [self._cluster_statistics[keep]]
+                + [cluster.statistics[None] for cluster in added]
+            ),
         )
         self._signature_rows_stale = False
         self._member_matrix = None
 
-    def _adopt_candidate_query_counts(self, stacked: np.ndarray) -> None:
-        """Make *stacked* the backing buffer of every cluster's ``q(s)`` vector.
+    def _adopt_statistics(self, query_counts: np.ndarray, cluster_statistics: np.ndarray) -> None:
+        """Make the stacked buffers back every cluster's ``q(s)`` and ``q(c)``.
 
         Each cluster's ``candidates.query_counts`` becomes a slice view of
-        the shared buffer, so batch execution increments the counters of
-        all explored clusters with a single vectorised add while per-query
-        execution keeps writing through the views.
+        *query_counts* and its ``statistics`` a row view of
+        *cluster_statistics*, so batch execution updates the counters of
+        all explored clusters with one vectorised add (and the fold) while
+        per-query execution keeps writing through the views.  Every
+        candidate set is also hooked to :meth:`_fold_statistics`, so
+        reading its ``q(s)`` applies the pending visits first.
         """
         offsets = self._candidate_offsets
-        self._candidate_query_counts = stacked
+        self._candidate_query_counts = query_counts
+        self._cluster_statistics = cluster_statistics
+        fold = self._fold_statistics
         for row, cluster_id in enumerate(self._signature_cluster_ids):
             cluster = self._clusters.get(cluster_id)
             if cluster is None:
                 # A copy taken before a pending splice: the row of a
                 # merged-away cluster has not been dropped yet.
                 continue
-            cluster.candidates.query_counts = stacked[int(offsets[row]) : int(offsets[row + 1])]
+            candidates = cluster.candidates
+            candidates.query_counts = query_counts[int(offsets[row]) : int(offsets[row + 1])]
+            candidates.fold_pending = fold
+            cluster.statistics = cluster_statistics[row]
 
     def _candidate_views_valid(self) -> bool:
-        """True while every cluster's ``q(s)`` vector still aliases the buffer.
+        """True while every cluster's ``q(s)`` and ``q(c)`` still alias the buffers.
 
         An invariant of the stacked matrices (checked by
         :meth:`check_invariants`): if a view were replaced by an
         independent array, batch execution would update counters nobody
         reads.
         """
-        stacked = self._candidate_query_counts
-        if stacked is None:
+        query_counts = self._candidate_query_counts
+        cluster_statistics = self._cluster_statistics
+        if query_counts is None or cluster_statistics is None:
             return False
         for cluster_id in self._signature_cluster_ids:
             cluster = self._clusters.get(cluster_id)
@@ -1071,7 +1228,9 @@ class AdaptiveClusteringIndex(BackendBase):
                 # matter.
                 continue
             counts = cluster.candidates.query_counts
-            if counts.base is not stacked and counts is not stacked:
+            if counts.base is not query_counts and counts is not query_counts:
+                return False
+            if cluster.statistics.base is not cluster_statistics:
                 return False
         return True
 
@@ -1228,7 +1387,8 @@ class AdaptiveClusteringIndex(BackendBase):
         evaluation and runs the paper's per-cluster procedure only where
         it could act.  The clusters the pass creates and removes reach the
         stacked matrices in one splice at its end, so a pass costs in
-        proportion to what it changes.
+        proportion to what it changes.  The screen's first read of ``q(s)``
+        folds the pending visit log.
         """
         # The reorganizer reads candidate object counts, which lazily
         # loaded clusters only gain once their member arrays are resident.
@@ -1391,31 +1551,35 @@ class AdaptiveClusteringIndex(BackendBase):
         if self._root_id not in self._clusters:
             raise AssertionError("the root cluster disappeared")
         if self._candidate_query_counts is not None and not self._candidate_views_valid():
-            raise AssertionError("candidate q(s) vectors no longer alias the shared buffer")
+            raise AssertionError("q(s) or q(c) views no longer alias the shared buffers")
 
     def __getstate__(self) -> Dict[str, object]:
-        """State to pickle or deep-copy, without the derived member matrix.
+        """State to pickle or deep-copy: folded statistics, no derived buffers.
 
-        The member matrix is a second copy of every member's bounds, rebuilt
-        lazily by the next batch query, so copies and shard state files do
-        not carry it.
+        Pending visits are folded first, so the copy carries exact ``q(s)``
+        and an empty log.  The member matrix is a second copy of every
+        member's bounds, rebuilt lazily by the next batch query, and the
+        log buffers are reallocated on first use, so copies and shard state
+        files carry neither.
         """
+        self._fold_statistics()
         state = self.__dict__.copy()
         state["_member_matrix"] = None
+        state["_visit_log"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         """Restore a pickled or deep-copied index.
 
         Copying (``pickle``, ``copy.deepcopy``, a process shard worker
-        loading its state) duplicates the per-cluster ``q(s)`` views into
-        independent arrays; pointing them back into the copied shared
-        buffer keeps the batch engine's single-add update path valid on
-        the copy.
+        loading its state) duplicates the per-cluster ``q(s)`` and ``q(c)``
+        views into independent arrays and drops the fold hooks; pointing
+        them back into the copied shared buffers keeps the batch engine's
+        single-add update path valid on the copy.
         """
         self.__dict__.update(state)
         if self._candidate_query_counts is not None:
-            self._adopt_candidate_query_counts(self._candidate_query_counts)
+            self._adopt_statistics(self._candidate_query_counts, self._cluster_statistics)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

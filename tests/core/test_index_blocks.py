@@ -164,3 +164,23 @@ def test_blocked_candidate_counts_match_dense_reference(row_block, monkeypatch):
             family.object_match_counts(lows, highs),
             dense_object_match_counts(family, lows, highs),
         )
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_partial_prune_width_matches_loop(relation, width, monkeypatch):
+    """One-event batches pruning 5 dimensions in blocks of 2 or 3 (2+2+1, 3+2)."""
+    dataset = generate_uniform_dataset(1500, 5, seed=95, max_extent=0.3)
+    base, queries = build_index(dataset, relation)
+    assert 1 < width < dataset.dimensions and dataset.dimensions % width
+    loop_index = copy.deepcopy(base)
+    batch_index = copy.deepcopy(base)
+    for query in [queries[i % len(queries)] for i in range(40)]:
+        # A prune step covers _PAIR_BLOCK // (queries × clusters) dimensions.
+        monkeypatch.setattr(index_module, "_PAIR_BLOCK", width * batch_index.n_clusters)
+        (actual,) = batch_index.execute_batch([query], relation)
+        expected = loop_index.execute(query, relation)
+        assert np.array_equal(expected.ids, actual.ids)
+        assert actual.execution.core_counters() == expected.execution.core_counters()
+    assert loop_index.reorganization_count > base.reorganization_count
+    assert_same_state(loop_index, batch_index)

@@ -8,6 +8,11 @@ database.  The workload runs before any reorganization, where every query
 explores the root and thus every object: the worst case for the pair list.
 A dense ``(objects, candidates)`` count or a whole-chunk pair expansion
 breaks these bounds several times over (about 33 MB and 460 MB here).
+
+The pending ``q(s)`` visit log of batch execution is bounded too: with no
+reorganization pass to fold it, it folds whenever it fills, so a long run
+of one-event publishes never holds more than ``_PAIR_BLOCK`` logged query
+bounds per side.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core import index as index_module
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
@@ -80,3 +86,41 @@ def test_execute_batch_peak_is_bounded(indexes):
     assert peak < 32 * MB
     assert batch_peak(index, 2 * QUERIES) < 1.5 * peak
     assert batch_peak(double_index, QUERIES) < 1.5 * peak
+
+
+def test_visit_log_is_bounded():
+    pairs = list(generate_uniform_dataset(5_000, DIMENSIONS, seed=7, max_extent=0.3).iter_objects())
+    config = AdaptiveClusteringConfig(
+        cost=CostParameters.for_scenario("memory", DIMENSIONS), auto_reorganize=False
+    )
+    index = AdaptiveClusteringIndex(config=config)
+    index.bulk_load(pairs)
+    # Reorganize by hand, so each publish visits tens of clusters.
+    warmup = generate_point_queries(100, DIMENSIONS, seed=8).queries
+    for _ in range(4):
+        for query in warmup:
+            index.execute(query, SpatialRelation.CONTAINS)
+        index.reorganize()
+    assert index.n_clusters > 50
+    events = generate_point_queries(5_000, DIMENSIONS, seed=9).queries
+    folds = []
+
+    def publish_all():
+        previous = 0
+        for event in events:
+            index.execute_batch([event], SpatialRelation.CONTAINS)
+            pending = index._pending_visits
+            assert pending * DIMENSIONS <= index_module._PAIR_BLOCK
+            if pending < previous:
+                folds.append(pending)
+            previous = pending
+
+    tracemalloc.start()
+    try:
+        publish_all()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(folds) >= 2
+    # Log buffers (about 2 MB) plus one fold's temporaries; measured 6.5 MB.
+    assert peak < 12 * MB
