@@ -109,11 +109,30 @@ def main() -> None:
     # The Database facade composes a backend with persistence and
     # streaming sessions; unsupported operations raise instead of
     # failing deep inside duck-typed code.
+    import shutil
+    import tempfile
+    from pathlib import Path
+
     database = Database(index)
     try:
-        Database.create("rs", dimensions).save("unused.npz")
+        Database.create("rs", dimensions).save("unused.db")
     except UnsupportedOperation as error:
         print(f"capability gate: {error}")
+
+    # save() commits a paged store: each cluster's signature with its
+    # member pages plus a page-table manifest.  A second save into the same
+    # directory writes only the pages of clusters that changed; open()
+    # reloads lazily, reading a cluster's members on first access.
+    snapshot_root = Path(tempfile.mkdtemp(prefix="repro-quickstart-db-"))
+    try:
+        database.save(snapshot_root / "subscriptions.db")
+        reopened = Database.open(snapshot_root / "subscriptions.db")
+        print(
+            f"paged snapshot: reopened {reopened.n_objects} objects in "
+            f"{reopened.n_groups} clusters"
+        )
+    finally:
+        shutil.rmtree(snapshot_root, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Streaming: serve a live event stream through the same index.
@@ -166,7 +185,7 @@ def main() -> None:
     )
 
     # Mixed member backends work too, and persistence (all shards must
-    # support it) writes a manifest plus one snapshot file per shard;
+    # support it) writes a manifest plus one paged store per shard;
     # Database.open dispatches on the layout.
     mixed = ShardedDatabase.create(["ac", "ac", "rs"], dimensions)
     print(f"mixed shards: {mixed.capabilities.name}")
@@ -198,15 +217,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # durable=True wraps the backend so every mutation is appended to a
     # checksummed write-ahead log (one WAL per shard) and acknowledged
-    # only after an fsync.  checkpoint() commits an atomic snapshot
-    # (write-temp -> fsync -> rename, manifest last) and resets the log;
-    # Database.recover() reloads the newest checkpoint and replays the
-    # WAL tail — so a crash at any point loses at most the one
-    # unacknowledged operation in flight, never committed state.
-    import shutil
-    import tempfile
-    from pathlib import Path
-
+    # only after an fsync.  checkpoint() appends the pages of changed
+    # clusters to each shard's paged store, commits the manifest last and
+    # resets the log; Database.recover() reopens the committed generation
+    # and replays the WAL tail — so a crash at any point loses at most the
+    # one unacknowledged operation in flight, never committed state.
     wal_root = Path(tempfile.mkdtemp(prefix="repro-quickstart-wal-"))
     try:
         durable = Database.create(
@@ -215,7 +230,7 @@ def main() -> None:
         durable.bulk_load(
             (object_id, index.get(object_id)) for object_id in range(500)
         )
-        durable.checkpoint()  # snapshot committed, WAL reset
+        durable.checkpoint()  # changed pages committed, WAL reset
         durable.insert(90_000, HyperRectangle.from_point(np.full(dimensions, 0.5)))
 
         # Simulate the crash: just walk away and recover the directory.

@@ -53,8 +53,6 @@ from repro.core import (
     StorageScenario,
     SystemCostConstants,
     VariationInterval,
-    load_index,
-    save_index,
 )
 from repro.baselines import RStarTree, RStarTreeConfig, SequentialScan
 
@@ -127,8 +125,6 @@ __all__ = [
     "SystemCostConstants",
     "StorageScenario",
     "QueryExecution",
-    "save_index",
-    "load_index",
     # baselines
     "SequentialScan",
     "RStarTree",

@@ -166,12 +166,8 @@ class DatabaseConfig:
     * ``router`` / ``max_workers`` apply to sharded databases only;
     * ``execution="process"`` (worker-process shards) requires sharding;
     * ``durable=True`` requires a ``wal_dir`` to log into;
-    * ``checkpoint_mode`` ("full" directory snapshots, or "paged"
-      incremental page-store commits) and ``keep_checkpoints`` (how many
-      superseded full checkpoints survive pruning) shape durability
-      checkpoints and therefore require a ``wal_dir``;
-    * ``replication`` requires a ``wal_dir`` (it ships the WAL), full
-      checkpoint mode and — for database construction — the primary role;
+    * ``replication`` requires a ``wal_dir`` (it ships the WAL) and —
+      for database construction — the primary role;
     * ``auto_tune`` options describe the per-shard tuning advisor and
       therefore require a sharded config.
     """
@@ -187,8 +183,6 @@ class DatabaseConfig:
     durable: bool = False
     wal_dir: Optional[Path] = None
     fsync: bool = True
-    checkpoint_mode: str = "full"
-    keep_checkpoints: int = 1
     replication: Optional[ReplicationOptions] = field(default=None)
     auto_tune: Optional[AutoTuneOptions] = field(default=None)
 
@@ -226,30 +220,10 @@ class DatabaseConfig:
             )
         if self.durable and self.wal_dir is None:
             raise ValueError("durable=True requires a wal_dir to log into")
-        if self.checkpoint_mode not in ("full", "paged"):
-            raise ValueError(
-                f"unknown checkpoint mode {self.checkpoint_mode!r}; expected "
-                "'full' or 'paged'"
-            )
-        if self.keep_checkpoints < 1:
-            raise ValueError("keep_checkpoints must be at least 1")
-        if self.wal_dir is None and (
-            self.checkpoint_mode != "full" or self.keep_checkpoints != 1
-        ):
-            raise ValueError(
-                "checkpoint_mode and keep_checkpoints shape durability "
-                "checkpoints; pass wal_dir=... so there is something to "
-                "checkpoint"
-            )
         if self.replication is not None and self.wal_dir is None:
             raise ValueError(
                 "replication ships the write-ahead log; pass wal_dir=... "
                 "so there is a WAL to stream"
-            )
-        if self.replication is not None and self.checkpoint_mode != "full":
-            raise ValueError(
-                "replication bootstraps followers from full checkpoint "
-                "snapshots; checkpoint_mode='paged' is not replicable"
             )
         if self.auto_tune is not None and not self.sharded:
             raise ValueError(

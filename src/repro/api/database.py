@@ -3,7 +3,7 @@
 The paper's system picture — a subscription database served by an adaptive
 access method — involves three collaborating pieces in this repository: a
 :class:`~repro.api.protocol.SpatialBackend` holding the objects, the
-snapshot persistence layer (for backends that advertise it) and the
+paged-store persistence layer (for backends that advertise it) and the
 :class:`~repro.engine.StreamingMatcher` serving loop.  ``Database``
 composes them behind a single object::
 
@@ -12,7 +12,7 @@ composes them behind a single object::
     db = Database.create("ac", dimensions=16)
     db.bulk_load(pairs)
     result = db.execute(query, "intersects")   # QueryResult: ids + counters
-    db.save("subscriptions.npz")               # capability-gated
+    db.save("subscriptions.db")                # paged store; capability-gated
 
     session = db.session()                     # attached StreamingMatcher
     session.publish(1, event_box)
@@ -140,13 +140,7 @@ class Database:
         elif config.wal_dir is not None:
             from repro.api.durability import DurableBackend
 
-            backend = DurableBackend.create(
-                backend,
-                config.wal_dir,
-                fsync=config.fsync,
-                checkpoint_mode=config.checkpoint_mode,
-                keep_checkpoints=config.keep_checkpoints,
-            )
+            backend = DurableBackend.create(backend, config.wal_dir, fsync=config.fsync)
         return cls(backend, auto_tune=config.auto_tune)
 
     @classmethod
@@ -163,8 +157,6 @@ class Database:
         execution: str = "thread",
         durable: bool = False,
         wal_dir: "str | Path | None" = None,
-        checkpoint_mode: str = "full",
-        keep_checkpoints: int = 1,
     ) -> "Database":
         """Create an empty database over the backend registered as *method*.
 
@@ -179,11 +171,9 @@ class Database:
         :class:`~repro.api.durability.DurableBackend`: every mutation is
         write-ahead logged (one WAL per shard) and survives a crash;
         reopen with :meth:`recover` and checkpoint with
-        :meth:`checkpoint`.  Durability requires a persistable backend.
-        ``checkpoint_mode="paged"`` switches checkpoints to incremental
-        page-store commits (see :mod:`repro.storage.pagefile`);
-        ``keep_checkpoints`` retains that many superseded full-checkpoint
-        directories.
+        :meth:`checkpoint` (an incremental paged-store commit, see
+        :mod:`repro.storage.pagefile`).  Durability requires a persistable
+        backend.
 
         This is a keyword shim over :meth:`from_config`, which validates
         the option combination in one place.
@@ -202,8 +192,6 @@ class Database:
                 backend_config=config,
                 durable=durable,
                 wal_dir=None if wal_dir is None else Path(wal_dir),
-                checkpoint_mode=checkpoint_mode,
-                keep_checkpoints=keep_checkpoints,
             )
         )
 
@@ -269,10 +257,9 @@ class Database:
            via :meth:`recover` — checkpoint load plus WAL replay;
         3. a **sharded snapshot** (shard ``manifest.json``) reopens as a
            :class:`~repro.api.sharding.ShardedDatabase`;
-        4. a **paged store** (``SUPERBLOCK`` written by :meth:`save_paged`)
-           reopens lazily — cluster members load on first access;
-        5. anything else is treated as a **plain snapshot** written by
-           :meth:`save`.
+        4. anything else must be a **paged store** (``SUPERBLOCK``)
+           written by :meth:`save`; it reopens lazily — cluster members
+           load on first access.
 
         :meth:`open` and :meth:`recover` remain as documented delegates
         for callers that know their layout and want a mismatch to fail
@@ -298,11 +285,10 @@ class Database:
         Dispatches on the snapshot layout: a directory holding a shard
         manifest reopens as a :class:`~repro.api.sharding.ShardedDatabase`;
         a paged store (``SUPERBLOCK`` present) reopens lazily through
-        :class:`~repro.storage.pagefile.PagedStore`; a single snapshot
-        file reopens the backend that wrote it.  Snapshots are written
-        only by backends advertising ``supports_persistence`` (currently
-        the adaptive clustering index), so the recovered backend is
-        always persistable.
+        :class:`~repro.storage.pagefile.PagedStore`.  Snapshots are
+        written only by backends advertising ``supports_persistence``
+        (currently the adaptive clustering index), so the recovered
+        backend is always persistable.
 
         This is the snapshot-layout delegate of :meth:`attach`; unlike
         ``attach`` it refuses durable directories (use :meth:`recover`).
@@ -323,15 +309,13 @@ class Database:
                 f"{path} is a durable database directory; reopen it with "
                 "Database.recover()"
             )
-        from repro.storage.pagefile import PagedStore, is_paged_store
+        from repro.storage.pagefile import PagedStore
 
-        if is_paged_store(path):
-            # Lazy open: cluster member arrays stay on disk until the
-            # first query (or mutation) touches their cluster.
-            return cls(PagedStore.open(path).load_index(storage, lazy=True))
-        from repro.core.persistence import load_index
-
-        return cls(load_index(path, storage=storage))
+        if not Path(path).exists():
+            raise FileNotFoundError(f"no database snapshot at {path}")
+        # Lazy open: cluster member arrays stay on disk until the first
+        # query (or mutation) touches their cluster.
+        return cls(PagedStore.open(path).load_index(storage, lazy=True))
 
     @classmethod
     def recover(cls, wal_dir: "str | Path") -> "Database":
@@ -448,69 +432,23 @@ class Database:
     # Persistence (capability-gated)
     # ------------------------------------------------------------------
     def save(self, path: "str | Path", include_statistics: bool = True) -> Path:
-        """Write a crash-recovery snapshot of the backend to *path*.
-
-        Raises :class:`~repro.api.protocol.UnsupportedOperation` for
-        backends that do not advertise ``supports_persistence``.  The
-        snapshot format is the backend's own: persistence is part of the
-        backend contract (see the ``supports_persistence`` contract on
-        :class:`~repro.api.protocol.Capabilities`), not special-cased
-        here.
-        """
-        # repro-lint: disable=RL002 -- facade delegation: the backend raises UnsupportedOperation
-        return self._backend.save(path, include_statistics=include_statistics)
-
-    def save_paged(
-        self,
-        path: "str | Path",
-        include_statistics: bool = True,
-        *,
-        compress: bool = True,
-    ) -> Path:
         """Write (or incrementally update) a paged snapshot at *path*.
 
         The first save creates a page store (see
-        :mod:`repro.storage.pagefile`); subsequent saves into the same
-        directory rewrite only the pages of clusters whose contents
-        changed.  Reopen with :meth:`open` / :meth:`attach` — the store
-        loads lazily, fetching each cluster's member arrays on first
-        access.  Sharded databases write one page store per shard behind
-        a manifest (see :meth:`ShardedDatabase.save_paged
-        <repro.api.sharding.ShardedDatabase.save_paged>`).
+        :mod:`repro.storage.pagefile`); later saves into the same path
+        write only the pages of clusters whose contents changed.  A
+        sharded database writes one store per shard behind a
+        ``manifest.json`` commit point (see :meth:`ShardedDatabase.save
+        <repro.api.sharding.ShardedDatabase.save>`).  Reopen with
+        :meth:`open` / :meth:`attach` — the stores load lazily, fetching
+        each cluster's member arrays on first access.
 
-        Paged snapshots serialize the adaptive index's cluster arrays, so
-        the backend (or every shard) must be an adaptive clustering
-        index; other persistable backends raise
-        :class:`~repro.api.protocol.UnsupportedOperation`.
+        Raises :class:`~repro.api.protocol.UnsupportedOperation` for
+        backends that do not advertise ``supports_persistence`` (see that
+        contract on :class:`~repro.api.protocol.Capabilities`).
         """
-        from repro.api.durability import DurableBackend
-        from repro.api.protocol import UnsupportedOperation
-        from repro.api.sharding import ShardedDatabase
-        from repro.core.index import AdaptiveClusteringIndex
-        from repro.storage.pagefile import PagedStore, is_paged_store
-
-        target = self._backend
-        # repro-lint: disable=RL003 -- unwrapping the durability decorator, not probing capability
-        if isinstance(target, DurableBackend):
-            target = target.inner
-        # repro-lint: disable=RL003 -- dispatching on snapshot layout, not probing capability
-        if isinstance(target, ShardedDatabase):
-            return target.save_paged(
-                path, include_statistics=include_statistics, compress=compress
-            )
-        # repro-lint: disable=RL003 -- paged stores serialize the adaptive index's cluster
-        # arrays directly, so the concrete type is the contract
-        if not isinstance(target, AdaptiveClusteringIndex):
-            raise UnsupportedOperation(
-                "paged snapshots serialize adaptive-index cluster arrays; "
-                f"backend {self.capabilities.name!r} cannot write one"
-            )
-        if is_paged_store(path):
-            store = PagedStore.open(path, compress=compress)
-        else:
-            store = PagedStore.create(path, compress=compress)
-        store.commit(target, incremental=True, include_statistics=include_statistics)
-        return Path(path)
+        # repro-lint: disable=RL002 -- facade delegation: the backend raises UnsupportedOperation
+        return self._backend.save(path, include_statistics=include_statistics)
 
     def snapshot(self) -> object:
         """Structural snapshot of a persistable backend (capability-gated)."""

@@ -12,19 +12,19 @@ mutation survive a crash:
   record is fsynced.  A sharded backend keeps **one WAL per shard**; an
   operation's record lands in the log of the shard the router assigns it
   to, so per-shard replay reconstructs a consistent whole.
-* **Atomic checkpoints.**  :meth:`checkpoint` snapshots the backend
-  through the existing capability-gated snapshot API into a fresh
-  ``checkpoint-NNNNNN`` directory and commits it with the write-temp →
-  fsync → rename discipline, writing the ``CHECKPOINT.json`` manifest
-  **last**.  The manifest is the single commit point: a torn checkpoint is
-  a directory the manifest never references — detectable, ignorable
-  garbage.  After the commit every WAL is reset (atomically, via rename)
-  to start at its checkpointed LSN cut.
-* **Recovery.**  :meth:`recover` loads the newest complete checkpoint (the
-  one the manifest names), replays each WAL's tail — records with
-  ``lsn >= cut`` — truncating torn trailing records, completes any
-  interrupted multi-shard operation, and finishes with a fresh checkpoint
-  so the next crash starts from a clean cut.
+* **Atomic checkpoints.**  :meth:`checkpoint` commits each shard into its
+  persistent paged store (``pages-NNN``, see :mod:`repro.storage.pagefile`)
+  — only the pages of clusters that changed since the last cut are
+  written — and then writes the ``CHECKPOINT.json`` manifest **last**.
+  The manifest is the single commit point: it names each store's
+  generation, and a store generation no manifest names is detectable,
+  ignorable garbage.  After the commit every WAL is reset (atomically,
+  via rename) to start at its checkpointed LSN cut.
+* **Recovery.**  :meth:`recover` opens each store at the generation the
+  manifest names, replays each WAL's tail — records with ``lsn >= cut`` —
+  truncating torn trailing records, completes any interrupted
+  multi-shard operation, and finishes with a fresh checkpoint so the next
+  crash starts from a clean cut.
 
 Multi-shard operations and the commit record
 --------------------------------------------
@@ -48,7 +48,7 @@ Crash-equivalence contract (pinned by ``tests/api/test_durability_faults.py``)
 ------------------------------------------------------------------------------
 
 A crash at *any* point — mid-WAL-append, after the append but before the
-fsync, mid-checkpoint, between a shard snapshot and the manifest rename —
+fsync, mid-checkpoint, between a store commit and the manifest write —
 recovers to a state query-equivalent to the store either immediately
 before or immediately after the in-flight operation, never anything else.
 
@@ -90,7 +90,7 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.pagefile import CommitStats, PagedStore
+    from repro.storage.pagefile import PagedStore
 
 from repro.api.protocol import (
     BackendBase,
@@ -98,7 +98,7 @@ from repro.api.protocol import (
     QueryResult,
     SpatialBackend,
 )
-from repro.api.sharding import ShardedDatabase, router_from_manifest
+from repro.api.sharding import ShardedDatabase, commit_store, router_from_manifest
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 from repro.storage.wal import (
@@ -124,15 +124,11 @@ PENDING_OP_NAME = "PENDING.json"
 #: Bump on any change to the manifest / pending-record layout.
 DURABILITY_FORMAT_VERSION = 1
 
-#: How :meth:`DurableBackend.checkpoint` persists the backend state.
-#: ``"full"`` snapshots everything into a fresh ``checkpoint-NNNNNN``
-#: directory; ``"paged"`` commits only the pages of clusters that changed
-#: since the last cut into a persistent per-shard page store (see
-#: :mod:`repro.storage.pagefile`).
-CHECKPOINT_MODES = ("full", "paged")
+#: The checkpoint layout every manifest records: per-shard paged stores.
+CHECKPOINT_LAYOUT = "paged"
 
 
-def _paged_store_name(position: int) -> str:
+def _store_name(position: int) -> str:
     """Directory name of shard *position*'s persistent page store."""
     return f"pages-{position:03d}"
 
@@ -183,8 +179,7 @@ class DurableBackend(BackendBase):
         wals: Sequence[WriteAheadLog],
         seq: int,
         next_gid: int,
-        checkpoint_mode: str = "full",
-        keep_checkpoints: int = 1,
+        stores: Optional[List["PagedStore"]] = None,
     ) -> None:
         self._inner = inner
         self._wal_dir = Path(wal_dir)
@@ -195,14 +190,9 @@ class DurableBackend(BackendBase):
         self._next_gid = int(next_gid)
         self._group_depth = 0
         self._touched: Set[int] = set()
-        self._checkpoint_mode = _validate_checkpoint_mode(checkpoint_mode)
-        self._keep_checkpoints = _validate_keep_checkpoints(keep_checkpoints)
-        #: Persistent per-shard page stores (paged mode only); kept across
-        #: checkpoints so incremental commits diff against the last cut.
-        self._paged_stores: Optional[List["PagedStore"]] = None
-        #: Per-store commit statistics of the most recent paged checkpoint
-        #: (empty in full mode); benches read the page-byte counters here.
-        self.last_paged_commits: List["CommitStats"] = []
+        #: Persistent per-shard page stores, kept across checkpoints so
+        #: incremental commits diff against the last cut.
+        self._stores = stores
         self.stats = DurabilityStats()
 
     # ------------------------------------------------------------------
@@ -216,25 +206,15 @@ class DurableBackend(BackendBase):
         *,
         fs: FileSystem = REAL_FS,
         fsync: bool = True,
-        checkpoint_mode: str = "full",
-        keep_checkpoints: int = 1,
     ) -> "DurableBackend":
         """Make *inner* durable under *wal_dir* (fresh directory).
 
-        Requires a backend advertising ``supports_persistence`` — the
-        checkpoint mechanism reuses its snapshot API.  The directory must
-        not already hold a durable database (recover that instead); an
-        initial checkpoint of the (possibly pre-loaded) backend is
-        committed immediately, so a complete checkpoint always exists.
-
-        ``checkpoint_mode="paged"`` checkpoints into persistent per-shard
-        page stores — incremental commits that rewrite only the pages of
-        clusters touched since the last cut.  Paged checkpoints snapshot
-        through the cluster arrays directly, so every checkpointed backend
-        must be an adaptive clustering index (or a sharded database of
-        them).  ``keep_checkpoints`` applies to full mode: that many of
-        the newest superseded ``checkpoint-NNNNNN`` directories survive
-        pruning (the default 1 keeps only the current one).
+        Requires a backend advertising ``supports_persistence`` — every
+        checkpoint commits each shard into its paged store under
+        *wal_dir*.  The directory must not already hold a durable
+        database (recover that instead); an initial checkpoint of the
+        (possibly pre-loaded) backend is committed immediately, so a
+        complete checkpoint always exists.
         """
         if not isinstance(inner, SpatialBackend):
             raise TypeError(
@@ -242,10 +222,6 @@ class DurableBackend(BackendBase):
                 "see repro.api.protocol"
             )
         inner.capabilities.require("persistence")
-        _validate_checkpoint_mode(checkpoint_mode)
-        _validate_keep_checkpoints(keep_checkpoints)
-        if checkpoint_mode == "paged":
-            _require_paged_targets(inner)
         wal_dir = Path(wal_dir)
         if (wal_dir / CHECKPOINT_MANIFEST_NAME).exists():
             raise ValueError(
@@ -268,8 +244,6 @@ class DurableBackend(BackendBase):
             wals=wals,
             seq=0,
             next_gid=1,
-            checkpoint_mode=checkpoint_mode,
-            keep_checkpoints=keep_checkpoints,
         )
         durable.checkpoint()
         return durable
@@ -281,39 +255,22 @@ class DurableBackend(BackendBase):
         *,
         fs: FileSystem = REAL_FS,
         fsync: bool = True,
-        keep_checkpoints: int = 1,
     ) -> "DurableBackend":
         """Recover a durable database from *wal_dir*.
 
-        Loads the newest complete checkpoint (named by ``CHECKPOINT.json``),
+        Opens each paged store lazily at the generation ``CHECKPOINT.json``
+        names (rolling back any newer, uncommitted store generation),
         replays each WAL tail in LSN order — truncating torn trailing
         records — completes any staged multi-shard operation, and commits a
         fresh checkpoint so the recovered store starts from a clean cut.
-        Recovery is restartable: it mutates nothing durable before its
-        final (atomic) checkpoint, so a crash *during* recovery recovers
+        Recovery is restartable: the store rollback only removes what no
+        manifest references and everything else waits for the final
+        (atomic) checkpoint, so a crash *during* recovery recovers
         identically on the next attempt.
-
-        The checkpoint mode sticks to what the manifest records: a store
-        checkpointed in paged mode reopens its page stores (rolling back
-        any page-store generation newer than the committed one) and keeps
-        checkpointing incrementally.
         """
-        _validate_keep_checkpoints(keep_checkpoints)
         wal_dir = Path(wal_dir)
         manifest = read_manifest(wal_dir)
-        layout = str(manifest["layout"])
-        inner: SpatialBackend
-        stores: Optional[List[PagedStore]] = None
-        if layout == "sharded":
-            inner = ShardedDatabase.open(wal_dir / str(manifest["directory"]))
-        elif layout == "plain":
-            from repro.core.persistence import load_index
-
-            inner = load_index(wal_dir / str(manifest["directory"]) / "snapshot.npz")
-        elif layout == "paged":
-            inner, stores = _open_paged_checkpoint(wal_dir, manifest, fs=fs)
-        else:
-            raise ValueError(f"corrupt checkpoint manifest: unknown layout {layout!r}")
+        inner, stores = open_checkpoint(wal_dir, manifest, fs=fs, resync=True)
         next_gid = int(manifest["next_gid"])
 
         pending = read_pending(wal_dir)
@@ -362,10 +319,8 @@ class DurableBackend(BackendBase):
             wals=wals,
             seq=int(manifest["seq"]),
             next_gid=next_gid,
-            checkpoint_mode="paged" if layout == "paged" else "full",
-            keep_checkpoints=keep_checkpoints,
+            stores=stores,
         )
-        durable._paged_stores = stores
         durable.stats.replayed_records = replayed
         # Post-recovery checkpoint: commits the replayed state (pending
         # operation included — its gid is now below the manifest's
@@ -387,16 +342,6 @@ class DurableBackend(BackendBase):
     def wal_dir(self) -> Path:
         """Directory holding the WALs, checkpoints and commit manifest."""
         return self._wal_dir
-
-    @property
-    def checkpoint_mode(self) -> str:
-        """``"full"`` (directory snapshots) or ``"paged"`` (incremental pages)."""
-        return self._checkpoint_mode
-
-    @property
-    def keep_checkpoints(self) -> int:
-        """Superseded full checkpoints retained after each new commit."""
-        return self._keep_checkpoints
 
     @property
     def wal_paths(self) -> Tuple[Path, ...]:
@@ -605,132 +550,39 @@ class DurableBackend(BackendBase):
     def checkpoint(self) -> Path:
         """Commit an atomic checkpoint and reset the WALs to the new cut.
 
-        Full-mode protocol (the order is the correctness argument):
+        Protocol (the order is the correctness argument):
 
-        1. snapshot the backend into ``checkpoint-NNNNNN.tmp`` (invisible
-           to recovery: only the manifest makes a checkpoint real);
-        2. rename the directory into place;
-        3. atomically replace ``CHECKPOINT.json`` — **the commit point** —
-           recording the directory, each WAL's LSN cut and ``next_gid``;
-        4. reset each WAL (atomic rename) to start at its cut;
-        5. delete superseded checkpoint directories beyond the configured
-           ``keep_checkpoints`` retention.
+        1. commit each shard into its persistent paged store with pruning
+           deferred — only the pages of clusters whose contents changed
+           since the last cut are appended;
+        2. atomically replace ``CHECKPOINT.json`` — **the commit point** —
+           recording each store's generation, each WAL's LSN cut and
+           ``next_gid``;
+        3. reset each WAL (atomic rename) to start at its cut;
+        4. prune the superseded store generations.
 
-        A crash before step 3 leaves the previous checkpoint + full WALs; a
-        crash after it leaves the new checkpoint + WALs whose stale records
+        A crash before step 2 leaves the previous manifest, whose store
+        generations are still intact (recovery rolls each store back to
+        the generation the manifest names), plus full WALs; a crash after
+        it leaves the new generations plus WALs whose stale records
         (``lsn < cut``) are filtered on replay.  Either way recovery sees a
-        consistent cut.
-
-        Paged mode replaces steps 1–2 with an **incremental commit** into
-        each shard's persistent page store: only the pages of clusters
-        whose contents changed since the last cut are appended, and the
-        manifest records each store's committed generation.  A crash after
-        a store commit but before the manifest leaves the store one
-        generation ahead — recovery rolls it back to the generation the
-        manifest names.
-        """
-        if self._checkpoint_mode == "paged":
-            return self._checkpoint_paged()
-        seq = self._seq + 1
-        name = f"checkpoint-{seq:06d}"
-        tmp = self._wal_dir / (name + ".tmp")
-        if tmp.exists():
-            self._fs.rmtree(tmp)
-        self._fs.mkdir(tmp)
-        cuts = [wal.next_lsn for wal in self._wals]
-        # The payload commits through the filesystem seam too: its fsyncs
-        # and renames are crash points the fault harness enumerates.  (The
-        # snapshot bytes themselves are staged in the .tmp directory —
-        # invisible to recovery until the manifest references them — and
-        # made durable by those fsyncs before the manifest commit.)
-        if isinstance(self._inner, ShardedDatabase):
-            layout = "sharded"
-            # repro-lint: disable=RL002 -- create() required "persistence" on the inner backend
-            self._inner.save(tmp, include_statistics=True, fs=self._fs)
-        else:
-            layout = "plain"
-            self._save_plain_payload(tmp / "snapshot.npz")
-        self._fs.barrier("checkpoint-payload")
-        final = self._wal_dir / name
-        if final.exists():
-            self._fs.rmtree(final)
-        self._fs.replace(tmp, final)
-        manifest = {
-            "format_version": DURABILITY_FORMAT_VERSION,
-            "seq": seq,
-            "directory": name,
-            "layout": layout,
-            "dimensions": self._inner.dimensions,
-            "n_objects": self._inner.n_objects,
-            "next_gid": self._next_gid,
-            "wals": [
-                {"file": wal.path.name, "lsn": cut}
-                for wal, cut in zip(self._wals, cuts)
-            ],
-        }
-        self._fs.write_file(
-            self._wal_dir / CHECKPOINT_MANIFEST_NAME,
-            (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
-        )
-        self._seq = seq
-        for wal, cut in zip(self._wals, cuts):
-            wal.reset(cut)
-        snapshots = [
-            entry
-            for entry in sorted(self._wal_dir.glob("checkpoint-*"))
-            if entry.is_dir() and not entry.name.endswith(".tmp")
-        ]
-        for entry in snapshots[: -self._keep_checkpoints]:
-            self._fs.rmtree(entry)
-        self.stats.checkpoints += 1
-        return final
-
-    def _save_plain_payload(self, target: Path) -> None:
-        """Write an unsharded checkpoint payload, committing through the seam.
-
-        The adaptive index saves via :func:`repro.core.persistence.save_index`
-        so its temp-file fsync/rename go through ``self._fs``; any other
-        persistable backend commits through its own ``save``.
-        """
-        from repro.core.index import AdaptiveClusteringIndex
-        from repro.core.persistence import save_index
-
-        # repro-lint: disable=RL003 -- not probing for capability: the adaptive index is saved
-        # through save_index so its temp-file fsync/rename flow through the injected fs seam
-        if isinstance(self._inner, AdaptiveClusteringIndex):
-            save_index(self._inner, target, include_statistics=True, fs=self._fs)
-        else:
-            # repro-lint: disable=RL002 -- create() required "persistence" on the inner backend
-            self._inner.save(target, include_statistics=True)
-
-    def _checkpoint_paged(self) -> Path:
-        """Commit an incremental paged checkpoint and reset the WALs.
-
-        Each shard's persistent page store commits first (appending only
-        the pages of clusters whose content changed since its last
-        generation), then ``CHECKPOINT.json`` — still the single commit
-        point — records each store's committed generation alongside the
-        WAL cuts.  A crash between a store commit and the manifest leaves
-        that store one generation ahead; recovery rolls it back with
-        :meth:`~repro.storage.pagefile.PagedStore.open_generation`.
-        Superseded store generations are pruned only after the manifest is
-        durable, mirroring full mode's checkpoint-directory cleanup.
+        consistent cut.  Process-hosted shards commit inside their
+        workers.  Returns the first store's directory.
         """
         seq = self._seq + 1
-        stores = self._ensure_paged_stores()
         targets = self._targets()
+        previous = self._stores or [None] * len(targets)
         cuts = [wal.next_lsn for wal in self._wals]
-        commits: List[CommitStats] = []
-        for store, target in zip(stores, targets):
-            # _require_paged_targets pinned every target to an adaptive
-            # index at create/recover time.
-            commits.append(store.commit(target, incremental=True, prune=False))  # type: ignore[arg-type]
+        stores = [
+            commit_store(target, self._wal_dir / _store_name(position), fs=self._fs, store=store)
+            for position, (target, store) in enumerate(zip(targets, previous))
+        ]
+        self._stores = stores
         self._fs.barrier("checkpoint-payload")
         manifest: Dict[str, Any] = {
             "format_version": DURABILITY_FORMAT_VERSION,
             "seq": seq,
-            "directory": stores[0].directory.name,
-            "layout": "paged",
+            "layout": CHECKPOINT_LAYOUT,
             "dimensions": self._inner.dimensions,
             "n_objects": self._inner.n_objects,
             "next_gid": self._next_gid,
@@ -754,24 +606,8 @@ class DurableBackend(BackendBase):
             wal.reset(cut)
         for store in stores:
             store.prune()
-        self.last_paged_commits = commits
         self.stats.checkpoints += 1
         return stores[0].directory
-
-    def _ensure_paged_stores(self) -> List["PagedStore"]:
-        """The persistent per-shard page stores, opened or created once."""
-        from repro.storage.pagefile import PagedStore, is_paged_store
-
-        if self._paged_stores is None:
-            stores: List[PagedStore] = []
-            for position in range(len(self._wals)):
-                directory = self._wal_dir / _paged_store_name(position)
-                if is_paged_store(directory):
-                    stores.append(PagedStore.open(directory, fs=self._fs))
-                else:
-                    stores.append(PagedStore.create(directory, fs=self._fs))
-            self._paged_stores = stores
-        return self._paged_stores
 
     # ------------------------------------------------------------------
     # Group commit
@@ -935,8 +771,6 @@ class DurableBackend(BackendBase):
             scratch / "wal",
             fs=REAL_FS,
             fsync=self._fsync,
-            checkpoint_mode=self._checkpoint_mode,
-            keep_checkpoints=self._keep_checkpoints,
         )
         # repro-lint: disable=RL001 -- GC cleanup of a scratch copy, not a durability commit path
         weakref.finalize(duplicate, shutil.rmtree, str(scratch), True)
@@ -974,49 +808,26 @@ def _wal_file_name(position: int) -> str:
     return f"wal-{position:03d}.log"
 
 
-def _validate_checkpoint_mode(mode: str) -> str:
-    if mode not in CHECKPOINT_MODES:
-        raise ValueError(
-            f"unknown checkpoint mode {mode!r}; expected one of "
-            f"{', '.join(CHECKPOINT_MODES)}"
-        )
-    return mode
-
-
-def _validate_keep_checkpoints(count: int) -> int:
-    if count < 1:
-        raise ValueError("keep_checkpoints must be at least 1")
-    return int(count)
-
-
-def _require_paged_targets(inner: SpatialBackend) -> None:
-    """Paged checkpoints snapshot cluster arrays — adaptive indexes only."""
-    from repro.core.index import AdaptiveClusteringIndex
-
-    targets = inner.shards if isinstance(inner, ShardedDatabase) else (inner,)
-    for position, target in enumerate(targets):
-        # repro-lint: disable=RL003 -- not probing capability: the paged store serializes
-        # the adaptive index's cluster arrays directly, so the concrete type is the contract
-        if not isinstance(target, AdaptiveClusteringIndex):
-            raise ValueError(
-                "checkpoint_mode='paged' requires adaptive clustering "
-                f"backends; shard {position} is "
-                f"{target.capabilities.name!r}"
-            )
-
-
-def _open_paged_checkpoint(
-    wal_dir: Path, manifest: Dict[str, Any], *, fs: FileSystem
+def open_checkpoint(
+    wal_dir: Path, manifest: Dict[str, Any], *, fs: FileSystem, resync: bool
 ) -> Tuple[SpatialBackend, List["PagedStore"]]:
-    """Reopen the page stores a paged checkpoint manifest names.
+    """Reopen the page stores a checkpoint manifest names.
 
-    Each store is rolled back (``resync=True``) to the generation the
-    manifest committed — a crash between a store commit and the manifest
-    leaves the store ahead, never behind.  Shards load lazily: WAL replay
-    and the post-recovery checkpoint only materialize what they touch.
+    Each store opens at the generation the manifest committed.  With
+    *resync* (recovery) it is also rolled back there — a crash between a
+    store commit and the manifest leaves the store ahead, never behind; a
+    follower, whose stores hold exactly the shipped generation, opens
+    without writing.  Shards load lazily: WAL replay and the
+    post-recovery checkpoint only materialize what they touch.
     """
     from repro.storage.pagefile import PagedStore
 
+    layout = manifest.get("layout")
+    if layout != CHECKPOINT_LAYOUT:
+        raise ValueError(
+            f"unsupported checkpoint layout {layout!r}; this version reads "
+            f"only {CHECKPOINT_LAYOUT!r} checkpoints"
+        )
     entries = manifest.get("stores")
     if not isinstance(entries, list) or not entries:
         raise ValueError("corrupt checkpoint manifest: paged layout names no stores")
@@ -1030,7 +841,7 @@ def _open_paged_checkpoint(
             )
         directory = wal_dir / str(entry["directory"])
         store = PagedStore.open_generation(
-            directory, int(entry["generation"]), fs=fs, resync=True
+            directory, int(entry["generation"]), fs=fs, resync=resync
         )
         stores.append(store)
         backends.append(store.load_index(lazy=True))

@@ -187,7 +187,7 @@ def _apply_operation(backend: SpatialBackend, op: str, args: Tuple[Any, ...]) ->
     if op == "save":
         # repro-lint: disable=RL002 -- worker-side dispatch: gating happened at
         # the call site; unsupported backends raise here as in thread mode
-        return backend.save(args[0], include_statistics=args[1])
+        return backend.save(args[0], include_statistics=args[1], prune=args[2])
     if op == "iter_objects":
         return list(backend.iter_objects())
     if op == "getattr":
@@ -753,9 +753,11 @@ class ProcessShardProxy:
     def snapshot(self) -> object:
         return self._executor.request(self._index, "snapshot", ())
 
-    def save(self, path: "str | Path", include_statistics: bool = True) -> Path:
+    def save(
+        self, path: "str | Path", include_statistics: bool = True, *, prune: bool = True
+    ) -> Path:
         saved = self._executor.request(
-            self._index, "save", (str(path), bool(include_statistics))
+            self._index, "save", (str(path), bool(include_statistics), bool(prune))
         )
         return Path(saved)
 

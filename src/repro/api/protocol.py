@@ -117,7 +117,7 @@ class Capabilities:
     label: str
     #: ``delete_bulk`` removes a batch natively (not an insert/delete loop).
     supports_delete_bulk: bool = True
-    #: The backend can be saved to / recovered from a snapshot file
+    #: The backend can be saved to / recovered from a paged store
     #: (:meth:`repro.api.database.Database.save` / ``open``).  Advertising
     #: this flag commits the backend to overriding the capability-gated
     #: ``save(path)`` / ``snapshot()`` defaults of :class:`BackendBase`
@@ -328,9 +328,9 @@ class BackendBase(ABC):
         """Write a crash-recovery snapshot of the backend to *path*.
 
         Raises :class:`UnsupportedOperation` unless the backend advertises
-        ``supports_persistence``; persistable backends override this with
-        their snapshot format (the adaptive index uses
-        :func:`repro.core.persistence.save_index`).
+        ``supports_persistence``; persistable backends override this to
+        commit a paged store at *path* (see :mod:`repro.storage.pagefile`
+        and :meth:`repro.core.index.AdaptiveClusteringIndex.save`).
         """
         self.capabilities.require("persistence")
         raise NotImplementedError(  # pragma: no cover - mixin contract

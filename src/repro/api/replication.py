@@ -19,9 +19,11 @@ Design invariants
 -----------------
 
 * **A replica directory is a byte-faithful clone.**  Bootstrap copies the
-  primary's latest atomic checkpoint, its WAL files and (last, as the
-  commit point) the ``CHECKPOINT.json`` manifest; every shipped frame is
-  appended verbatim afterwards.  The follower's catch-up state is therefore
+  primary's committed checkpoint — per paged store, the superblock, the
+  generation's page-table manifest and its page file — then its WAL files,
+  any staged operation and (last, as the commit point) the
+  ``CHECKPOINT.json`` manifest; every shipped frame is appended verbatim
+  afterwards.  The follower's catch-up state is therefore
   *byte-identical* to the primary's durable directory at the same LSN —
   execution counters included — and **promotion is literally durable
   recovery**: :func:`promote` removes the replica marker and runs
@@ -61,13 +63,25 @@ import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 from repro import wire
 from repro.api.durability import (
     CHECKPOINT_MANIFEST_NAME,
     PENDING_OP_NAME,
     DurableBackend,
+    open_checkpoint,
     read_manifest,
     read_pending,
     replay_pending,
@@ -84,6 +98,9 @@ from repro.storage.wal import (
     read_frames,
     read_wal,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.pagefile import PagedStore
 
 #: Marker file a bootstrap writes last: the directory is a follower clone.
 REPLICA_MARKER_NAME = "REPLICA.json"
@@ -117,7 +134,7 @@ class ReplicationTransport:
     """One RPC channel from a primary to one follower.
 
     ``request`` carries a JSON-serialisable header plus binary blobs (WAL
-    frames, snapshot files) and blocks until the follower's reply — the
+    frames, checkpoint files) and blocks until the follower's reply — the
     acknowledgement semantics of semi-sync replication live in that
     blocking.  Implementations must mark the wire with the two seam
     barriers so the fault harness can crash between send and acknowledge.
@@ -523,17 +540,10 @@ class ReplicaNode:
         ships the pending clear (or when promotion recovers it from disk).
         """
         manifest = read_manifest(self._directory)
-        directory = self._directory / str(manifest["directory"])
-        layout = str(manifest["layout"])
-        inner: SpatialBackend
-        if layout == "sharded":
-            inner = ShardedDatabase.open(directory)
-        elif layout == "plain":
-            from repro.core.persistence import load_index
-
-            inner = load_index(directory / "snapshot.npz")
-        else:
-            raise ReplicationError(f"corrupt replica manifest: unknown layout {layout!r}")
+        try:
+            inner, _ = open_checkpoint(self._directory, manifest, fs=self._fs, resync=False)
+        except ValueError as error:
+            raise ReplicationError(f"corrupt replica checkpoint: {error}") from error
         self._inner = inner
         self._dimensions = int(manifest["dimensions"])
         next_gid = int(manifest["next_gid"])
@@ -602,8 +612,7 @@ class ReplicatedBackend(DurableBackend):
         wals: Sequence[WriteAheadLog],
         seq: int,
         next_gid: int,
-        checkpoint_mode: str = "full",
-        keep_checkpoints: int = 1,
+        stores: Optional[List["PagedStore"]] = None,
     ) -> None:
         super().__init__(
             inner,
@@ -613,8 +622,7 @@ class ReplicatedBackend(DurableBackend):
             wals=wals,
             seq=seq,
             next_gid=next_gid,
-            checkpoint_mode=checkpoint_mode,
-            keep_checkpoints=keep_checkpoints,
+            stores=stores,
         )
         self._mode: str = "semi-sync"
         self._links: List[_ReplicaLink] = []
@@ -638,26 +646,10 @@ class ReplicatedBackend(DurableBackend):
         fs: FileSystem = REAL_FS,
         fsync: bool = True,
         mode: str = "semi-sync",
-        checkpoint_mode: str = "full",
-        keep_checkpoints: int = 1,
     ) -> "ReplicatedBackend":
-        """Make *inner* a replicable durable primary under *wal_dir*.
-
-        Followers bootstrap from full checkpoint snapshots, so a primary
-        only supports ``checkpoint_mode="full"``.
-        """
+        """Make *inner* a replicable durable primary under *wal_dir*."""
         _validate_mode(mode)
-        if checkpoint_mode != "full":
-            raise ValueError(
-                "replication bootstraps followers from full checkpoint "
-                f"snapshots; checkpoint_mode={checkpoint_mode!r} is not replicable"
-            )
-        backend = cast(
-            "ReplicatedBackend",
-            super().create(
-                inner, wal_dir, fs=fs, fsync=fsync, keep_checkpoints=keep_checkpoints
-            ),
-        )
+        backend = cast("ReplicatedBackend", super().create(inner, wal_dir, fs=fs, fsync=fsync))
         backend._mode = mode
         return backend
 
@@ -780,13 +772,20 @@ class ReplicatedBackend(DurableBackend):
 
     # -- bootstrap and catch-up ------------------------------------------
     def _bootstrap(self, transport: ReplicationTransport) -> None:
+        from repro.storage.pagefile import PagedStore
+
         manifest = read_manifest(self._wal_dir)
         names: List[str] = []
         blobs: List[bytes] = []
-        checkpoint_dir = self._wal_dir / str(manifest["directory"])
-        for path in sorted(p for p in checkpoint_dir.rglob("*") if p.is_file()):
-            names.append(path.relative_to(self._wal_dir).as_posix())
-            blobs.append(path.read_bytes())
+        # The committed generation of every store, never a later one a
+        # crashed checkpoint may have left behind.
+        for entry in manifest["stores"]:
+            store = PagedStore.open_generation(
+                self._wal_dir / str(entry["directory"]), int(entry["generation"])
+            )
+            for name, data in store.generation_files():
+                names.append(f"{store.directory.name}/{name}")
+                blobs.append(data)
         wal_entries = manifest["wals"]
         assert isinstance(wal_entries, list)
         for entry in wal_entries:
@@ -998,7 +997,10 @@ def _rpc(
     header: Dict[str, Any],
     blobs: Sequence[bytes] = (),
 ) -> Tuple[Dict[str, Any], List[bytes]]:
-    reply, reply_blobs = transport.request(header, blobs)
+    try:
+        reply, reply_blobs = transport.request(header, blobs)
+    except wire.FrameTooLarge as error:
+        raise ReplicationError(f"{header.get('kind')} message refused: {error}") from error
     if reply.get("status") != "ok":
         raise ReplicationError(str(reply.get("error", "replication request failed")))
     return reply, reply_blobs

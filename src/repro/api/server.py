@@ -216,10 +216,10 @@ class DatabaseServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         # Per-connection error isolation: an undecodable frame (truncated
-        # mid-frame, checksum mismatch, malformed header) or a vanished
-        # peer tears down this connection only — the listener and every
-        # other connection keep serving.
-        with contextlib.suppress(ServingError, OSError):
+        # mid-frame, checksum mismatch, malformed header), a reply above
+        # the frame ceiling or a vanished peer tears down this connection
+        # only — the listener and every other connection keep serving.
+        with contextlib.suppress(ServingError, OSError, wire.FrameTooLarge):
             while True:
                 payload = await wire.read_frame(reader, _SERVING)
                 if payload is None:

@@ -1,7 +1,7 @@
 """Sharded scatter-gather database over registry-created backends.
 
 One :class:`~repro.api.protocol.SpatialBackend` can only grow as far as one
-process core and one snapshot file carry it.  :class:`ShardedDatabase`
+process core and one snapshot carry it.  :class:`ShardedDatabase`
 composes *N* independent backends — homogeneous (``["ac", "ac"]``) or mixed
 (``["ac", "rs"]``) — behind the same backend surface, so everything written
 against the protocol (the :class:`~repro.api.database.Database` facade, the
@@ -24,10 +24,11 @@ without noticing:
   merged counters are exactly the sum of what the shards report
   individually (``tests/test_backend_protocol.py`` pins both).
 * **per-shard persistence** — ``save`` writes one directory holding a JSON
-  manifest (shard count, router, per-shard statistics) plus one
-  capability-gated snapshot file per shard; :meth:`ShardedDatabase.open`
-  validates the manifest and fails with a clean :class:`ValueError` on a
-  missing or corrupt shard snapshot instead of a traceback.
+  manifest (shard count, router, per-shard statistics and store
+  generations) plus one paged store per shard
+  (:mod:`repro.storage.pagefile`); :meth:`ShardedDatabase.open` validates
+  the manifest and fails with a clean :class:`ValueError` on a missing or
+  corrupt shard store instead of a traceback.
 """
 
 from __future__ import annotations
@@ -71,12 +72,14 @@ from repro.storage.wal import REAL_FS, FileSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.iostats import IOStatistics
+    from repro.storage.pagefile import PagedStore
 
 #: File name of the shard directory manifest inside a sharded snapshot.
 SHARD_MANIFEST_NAME = "manifest.json"
 
 #: Version tag written into every shard manifest (bump on layout changes).
-SHARD_MANIFEST_VERSION = 1
+#: Version 2: every shard is a paged store opened at a recorded generation.
+SHARD_MANIFEST_VERSION = 2
 
 #: Bounded window of recently executed query boxes the database retains for
 #: the tuning advisor's what-if replay (:meth:`ShardedDatabase.recent_queries`).
@@ -467,11 +470,16 @@ class ShardedDatabase(BackendBase):
     ) -> "ShardedDatabase":
         """Recover a sharded database from a directory written by :meth:`save`.
 
-        Raises a clean :class:`ValueError` (never a traceback from the
-        archive layer) when the manifest is corrupt, references a missing
-        shard snapshot, disagrees with the stored shard count, or a shard
-        snapshot itself fails to load.
+        Each shard's paged store opens lazily at the generation the
+        manifest names — never at its own superblock, which a save that
+        crashed before its manifest commit may have moved ahead.  Raises a
+        clean :class:`ValueError` (never a traceback from the storage
+        layer) when the manifest is corrupt, references a missing shard
+        store, disagrees with the stored shard count, or a shard store
+        itself fails to load.
         """
+        from repro.storage.pagefile import PagedStore
+
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"no sharded snapshot at {path}")
@@ -499,35 +507,31 @@ class ShardedDatabase(BackendBase):
                 f"corrupt shard manifest {manifest_path}: shard_count "
                 f"{shard_count!r} disagrees with {len(entries)} shard entries"
             )
-        paged = manifest.get("layout") == "paged"
         shards: List[SpatialBackend] = []
         for position, entry in enumerate(entries):
-            key = "dir" if paged else "file"
-            if not isinstance(entry, dict) or key not in entry:
+            if not isinstance(entry, dict) or "store" not in entry or "generation" not in entry:
                 raise ValueError(
                     f"corrupt shard manifest {manifest_path}: shard entry "
-                    f"{position} has no snapshot {key}"
+                    f"{position} names no store generation"
                 )
-            shard_file = path / str(entry[key])
-            if not paged and not shard_file.is_file():
+            directory = path / str(entry["store"])
+            if not directory.is_dir():
                 raise ValueError(
-                    f"missing shard snapshot {shard_file.name} (shard "
+                    f"missing shard snapshot {directory.name} (shard "
                     f"{position} of {len(entries)}) in {path}"
                 )
             try:
-                if paged:
-                    shard = _load_paged_shard(shard_file)
-                else:
-                    shard = _load_shard_snapshot(shard_file)
+                store = PagedStore.open_generation(directory, int(entry["generation"]))
+                shard = store.load_index(lazy=True)
             except Exception as error:
                 raise ValueError(
-                    f"corrupt shard snapshot {shard_file.name} (shard "
+                    f"corrupt shard snapshot {directory.name} (shard "
                     f"{position} of {len(entries)}): {error}"
                 ) from error
             recorded = entry.get("n_objects")
             if recorded is not None and int(recorded) != shard.n_objects:
                 raise ValueError(
-                    f"corrupt shard snapshot {shard_file.name}: manifest "
+                    f"corrupt shard snapshot {directory.name}: manifest "
                     f"records {recorded} objects, snapshot holds "
                     f"{shard.n_objects}"
                 )
@@ -1004,149 +1008,61 @@ class ShardedDatabase(BackendBase):
         *,
         fs: FileSystem = REAL_FS,
     ) -> Path:
-        """Write a manifest + one snapshot file per shard under *path*.
+        """Write (or incrementally update) one paged store per shard.
 
         *path* becomes a directory: ``manifest.json`` records the shard
-        count, the router and per-shard statistics;
-        ``gen-NNNNNN/shard_NNN.npz`` holds each shard's own
-        capability-gated snapshot.  Recover with :meth:`open` (or
-        :meth:`repro.api.Database.open`, which dispatches on the manifest).
+        count, the router, per-shard statistics and each
+        ``shard_NNN.pages`` store's committed generation.  The first save
+        writes every page; later saves into the same *path* append only
+        the pages of clusters whose contents changed.  Recover with
+        :meth:`open` (or :meth:`repro.api.Database.open`, which dispatches
+        on the manifest).
 
-        The snapshot commits atomically.  Shard files are written into a
-        fresh generation directory (each through its own temp-file →
-        fsync → rename commit), and only then is the manifest — the single
-        commit point — atomically replaced to reference the new
-        generation.  A crash anywhere mid-save leaves the manifest
-        pointing at a fully written generation (the previous one, or none
-        at all for a first save); it can never reference truncated shard
-        files.  Superseded generations are deleted after the commit.
+        The manifest is the single commit point.  Every store commits its
+        new generation with pruning deferred, then the manifest is
+        atomically replaced to name those generations, and only then are
+        superseded generations pruned.  A crash anywhere mid-save leaves
+        the manifest naming complete generations (the previous ones, or
+        none at all for a first save).  Process-hosted shards commit
+        inside their workers.
         """
         self.capabilities.require("persistence")
         path = Path(path)
         fs.mkdir(path)
-        generation = _next_generation(path)
-        gen_name = f"gen-{generation:06d}"
-        fs.mkdir(path / gen_name)
-        entries: List[Dict[str, object]] = []
-        for position, shard in enumerate(self._shards):
-            file_name = f"shard_{position:03d}.npz"
-            _save_shard_snapshot(
-                shard, path / gen_name / file_name, include_statistics, fs
-            )
-            entries.append(
-                {
-                    "file": f"{gen_name}/{file_name}",
-                    "method": shard.capabilities.name,
-                    "n_objects": shard.n_objects,
-                    "n_groups": shard.n_groups,
-                }
-            )
-        manifest = {
-            "format_version": SHARD_MANIFEST_VERSION,
-            "kind": "sharded-database",
-            "dimensions": self._dimensions,
-            "shard_count": len(self._shards),
-            "router": self._router.manifest(),
-            "include_statistics": include_statistics,
-            "generation": generation,
-            "shards": entries,
-        }
-        fs.barrier("sharded-save-commit")
-        fs.write_file(
-            path / SHARD_MANIFEST_NAME,
-            (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
-        )
-        # The commit is durable; superseded generations (and top-level
-        # shard files from the pre-generation layout) are garbage now.
-        for stale in sorted(path.glob("gen-*")):
-            if stale.is_dir() and stale.name != gen_name:
-                fs.rmtree(stale)
-        for legacy in sorted(path.glob("shard_*.npz")):
-            fs.remove(legacy)
-        return path
-
-    def save_paged(
-        self,
-        path: "str | Path",
-        include_statistics: bool = True,
-        *,
-        compress: bool = True,
-        fs: FileSystem = REAL_FS,
-    ) -> Path:
-        """Write (or incrementally update) one page store per shard.
-
-        The layout mirrors :meth:`save` — a ``manifest.json`` commit point
-        over per-shard payloads — but each shard's payload is a
-        ``shard_NNN.pages`` directory managed by
-        :class:`~repro.storage.pagefile.PagedStore`: the first save writes
-        every page, later saves into the same *path* append only the pages
-        of clusters whose contents changed.  The manifest (tagged
-        ``layout: "paged"``) records each store's committed generation and
-        is rewritten last, so a crash mid-save leaves the previous
-        manifest pointing at the previous generations, which remain intact
-        in the append-only page files.  Reopen with :meth:`open` — paged
-        shards load lazily.
-
-        Paged stores serialize the adaptive index's cluster arrays, so
-        every shard must be an adaptive clustering index.
-        """
-        from repro.core.index import AdaptiveClusteringIndex
-        from repro.storage.pagefile import PagedStore, is_paged_store
-
-        self.capabilities.require("persistence")
-        if self._process_executor is not None:
-            raise ValueError(
-                "paged snapshots serialize the adaptive index's cluster "
-                "arrays in place, which worker-process shards do not "
-                "expose; use save() full snapshots in process mode"
-            )
-        for position, shard in enumerate(self._shards):
-            # repro-lint: disable=RL003 -- paged stores serialize the adaptive index's
-            # cluster arrays directly, so the concrete type is the contract
-            if not isinstance(shard, AdaptiveClusteringIndex):
-                raise ValueError(
-                    "paged snapshots serialize adaptive-index cluster "
-                    f"arrays; shard {position} is "
-                    f"{shard.capabilities.name!r}"
-                )
-        path = Path(path)
-        fs.mkdir(path)
-        entries: List[Dict[str, object]] = []
-        for position, shard in enumerate(self._shards):
-            directory = path / f"shard_{position:03d}.pages"
-            if is_paged_store(directory):
-                store = PagedStore.open(directory, compress=compress, fs=fs)
-            else:
-                store = PagedStore.create(directory, compress=compress, fs=fs)
-            store.commit(
-                shard,  # type: ignore[arg-type]  # pinned to AdaptiveClusteringIndex above
-                incremental=True,
+        stores = [
+            commit_store(
+                shard,
+                path / f"shard_{position:03d}.pages",
                 include_statistics=include_statistics,
+                fs=fs,
             )
-            entries.append(
-                {
-                    "dir": directory.name,
-                    "method": shard.capabilities.name,
-                    "n_objects": shard.n_objects,
-                    "n_groups": shard.n_groups,
-                    "generation": store.generation,
-                }
-            )
+            for position, shard in enumerate(self._shards)
+        ]
         manifest = {
             "format_version": SHARD_MANIFEST_VERSION,
             "kind": "sharded-database",
-            "layout": "paged",
             "dimensions": self._dimensions,
             "shard_count": len(self._shards),
             "router": self._router.manifest(),
             "include_statistics": include_statistics,
-            "shards": entries,
+            "shards": [
+                {
+                    "store": store.directory.name,
+                    "generation": store.generation,
+                    "method": shard.capabilities.name,
+                    "n_objects": shard.n_objects,
+                    "n_groups": shard.n_groups,
+                }
+                for store, shard in zip(stores, self._shards)
+            ],
         }
         fs.barrier("sharded-save-commit")
         fs.write_file(
             path / SHARD_MANIFEST_NAME,
             (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
         )
+        for store in stores:
+            store.prune()
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -1161,59 +1077,33 @@ def is_sharded_snapshot(path: "str | Path") -> bool:
     return (Path(path) / SHARD_MANIFEST_NAME).is_file()
 
 
-def _load_paged_shard(directory: Path) -> SpatialBackend:
-    """Reopen one shard's page store, loading cluster members lazily."""
-    from repro.storage.pagefile import PagedStore, is_paged_store
+def commit_store(
+    shard: SpatialBackend,
+    directory: Path,
+    *,
+    include_statistics: bool = True,
+    fs: FileSystem = REAL_FS,
+    store: "Optional[PagedStore]" = None,
+) -> "PagedStore":
+    """Commit *shard* as the next generation of its paged store, unpruned.
 
-    if not is_paged_store(directory):
-        raise ValueError(f"no paged store at {directory}")
-    return PagedStore.open(directory).load_index(lazy=True)
-
-
-def _load_shard_snapshot(path: Path) -> SpatialBackend:
-    """Load one shard's snapshot file.
-
-    Only backends advertising ``supports_persistence`` write snapshots, and
-    the adaptive clustering index is currently the only such backend, so a
-    shard snapshot is always an index snapshot.
-    """
-    from repro.core.persistence import load_index
-
-    return load_index(path)
-
-
-def _next_generation(path: Path) -> int:
-    """Next unused snapshot generation number under *path*.
-
-    Uncommitted generation directories left behind by a crashed save count
-    too — a fresh save must never write into a directory a previous
-    attempt may have partially filled.
-    """
-    latest = 0
-    for entry in path.glob("gen-*"):
-        try:
-            latest = max(latest, int(entry.name[4:]))
-        except ValueError:
-            continue
-    return latest + 1
-
-
-def _save_shard_snapshot(
-    shard: SpatialBackend, target: Path, include_statistics: bool, fs: FileSystem
-) -> None:
-    """Write one shard's snapshot with an atomic temp-file commit.
-
-    The adaptive index saves through :func:`repro.core.persistence.save_index`
-    so the fault-injection seam covers its fsync/rename commit; any other
-    persistable backend commits through its own ``save``.
+    The caller's own manifest is the commit point, so the superseded
+    generation stays on disk until the caller prunes the returned store.
+    An in-process adaptive index commits through *store* (default: the
+    store at *directory*) and the *fs* seam.  Any other persistable shard
+    — a process-hosted one — commits through its own ``save``, inside its
+    worker.
     """
     from repro.core.index import AdaptiveClusteringIndex
-    from repro.core.persistence import save_index
+    from repro.storage.pagefile import PagedStore, open_store
 
-    # repro-lint: disable=RL003 -- not probing for capability: the adaptive index is saved
-    # through save_index so its temp-file fsync/rename flow through the injected fs seam
+    # repro-lint: disable=RL003 -- not probing capability: an in-process index commits
+    # through the caller's fs seam, which a worker-hosted shard's save cannot reach
     if isinstance(shard, AdaptiveClusteringIndex):
-        save_index(shard, target, include_statistics, fs=fs)
-    else:
-        # repro-lint: disable=RL002 -- caller (ShardedDatabase.save) gated supports_persistence
-        shard.save(target, include_statistics=include_statistics)
+        if store is None:
+            store = open_store(directory, fs=fs)
+        store.commit(shard, include_statistics=include_statistics, prune=False)
+        return store
+    # repro-lint: disable=RL002 -- callers gated supports_persistence
+    shard.save(directory, include_statistics=include_statistics, prune=False)  # type: ignore[call-arg]
+    return PagedStore.open(directory, fs=fs)

@@ -27,11 +27,8 @@ from repro.core.cluster import Cluster
 from repro.core.object_store import ObjectStore
 from repro.core.statistics import QueryExecution, IndexSnapshot
 from repro.core.index import AdaptiveClusteringIndex
-from repro.core.persistence import load_index, save_index
 
 __all__ = [
-    "save_index",
-    "load_index",
     "AdaptiveClusteringConfig",
     "CostParameters",
     "StorageScenario",

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -235,8 +236,8 @@ class AdaptiveClusteringIndex(BackendBase):
         """Queries executed since the last reorganization pass.
 
         Drives the automatic reorganization schedule; persisted by
-        :mod:`repro.core.persistence` so a recovered index reorganizes on
-        the same schedule as the one that was saved.
+        :meth:`save` so a recovered index reorganizes on the same schedule
+        as the one that was saved.
         """
         return self._queries_since_reorganization
 
@@ -1490,16 +1491,24 @@ class AdaptiveClusteringIndex(BackendBase):
             clusters=clusters,
         )
 
-    def save(self, path: "str | Path", include_statistics: bool = True) -> "Path":
-        """Write a crash-recovery snapshot to *path* (see :mod:`repro.core.persistence`).
+    def save(
+        self, path: "str | Path", include_statistics: bool = True, *, prune: bool = True
+    ) -> Path:
+        """Commit a crash-recovery snapshot into the paged store at *path*.
 
         The persistable half of the :class:`~repro.api.protocol.SpatialBackend`
-        contract; recover with :func:`repro.core.persistence.load_index` or
-        :meth:`repro.api.Database.open`.
+        contract (paper Section 6: signatures stored with their members
+        plus a small cluster directory).  The first save creates the store;
+        later saves into it write only the pages of clusters whose content
+        changed (see :mod:`repro.storage.pagefile`).  ``prune=False`` keeps
+        the superseded generation on disk, for callers whose own manifest
+        is the commit point (a sharded save, a durable checkpoint).
+        Reopen with :meth:`repro.api.Database.open`.
         """
-        from repro.core.persistence import save_index
+        from repro.storage.pagefile import open_store
 
-        return save_index(self, path, include_statistics=include_statistics)
+        open_store(path).commit(self, include_statistics=include_statistics, prune=prune)
+        return Path(path)
 
     def check_invariants(self) -> None:
         """Verify structural consistency; raises :class:`AssertionError` on failure.
@@ -1557,12 +1566,16 @@ class AdaptiveClusteringIndex(BackendBase):
         """State to pickle or deep-copy: folded statistics, no derived buffers.
 
         Pending visits are folded first, so the copy carries exact ``q(s)``
-        and an empty log.  The member matrix is a second copy of every
-        member's bounds, rebuilt lazily by the next batch query, and the
-        log buffers are reallocated on first use, so copies and shard state
-        files carry neither.
+        and an empty log, and lazily opened clusters are materialized.  The
+        member matrix is a second copy of every member's bounds, rebuilt
+        lazily by the next batch query, and the log buffers are reallocated
+        on first use, so copies and shard state files carry neither.
         """
         self._fold_statistics()
+        # A lazily opened cluster loads its members now: the copy must not
+        # depend on a page file the store may later compact away.
+        for cluster in self._clusters.values():
+            cluster.ensure_materialized()
         state = self.__dict__.copy()
         state["_member_matrix"] = None
         state["_visit_log"] = None

@@ -11,8 +11,8 @@ same dirty state is committed twice:
 * **incrementally** into the store holding the previous generation —
   only clusters whose content CRC changed write pages, clean clusters
   keep their extents;
-* **fully** into a fresh store — every cluster writes, the way the
-  directory-snapshot checkpoint always behaves.
+* **fully** into a fresh store — every cluster writes, the way a first
+  save or checkpoint (or a compaction) always behaves.
 
 The page bytes written by each (from :class:`~repro.storage.pagefile.
 CommitStats`) give the headline ratio: at low churn an incremental

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.core.index import AdaptiveClusteringIndex
-from repro.core.persistence import _config_from_dict, _signature_from_array
 from repro.storage.pagefile import (
     SUPERBLOCK_NAME,
     _MANIFEST_RE,
@@ -49,6 +48,8 @@ from repro.storage.pagefile import (
     BlobExtent,
     PagedStore,
     PageTable,
+    config_from_dict,
+    signature_from_array,
 )
 from repro.storage.pages import (
     blob_crc,
@@ -213,7 +214,7 @@ def repair_store(
     pagefile_path = source / table.pagefile
     buffer = pagefile_path.read_bytes() if pagefile_path.is_file() else b""
 
-    config = _config_from_dict(table.config)
+    config = config_from_dict(table.config)
     dimensions = int(config.dimensions)
     index = AdaptiveClusteringIndex(config=config)
     auto_root_id = index.root.cluster_id
@@ -254,7 +255,7 @@ def repair_store(
 
         cluster = Cluster(
             cluster_id=cluster_id,
-            signature=_signature_from_array(np.asarray(entry.signature, dtype=np.float64)),
+            signature=signature_from_array(np.asarray(entry.signature, dtype=np.float64)),
             clustering_function=index._clustering_function,
             parent_id=entry.parent_id,
             creation_query=entry.creation_query,

@@ -8,9 +8,9 @@ holding an adaptive-clustering index as checksummed fixed-size pages:
     A small binary record naming the committed manifest generation
     (:func:`repro.storage.pages.encode_superblock`).  Replaced atomically
     through the :class:`~repro.storage.wal.FileSystem` seam, it is the
-    commit point of a standalone store.  (Under a
-    :class:`~repro.api.durability.DurableBackend` the checkpoint manifest
-    is the commit point instead, and names the generation explicitly.)
+    commit point of a standalone store.  (A sharded snapshot's
+    ``manifest.json`` and a durable directory's ``CHECKPOINT.json`` are
+    the commit point instead, and name each store's generation.)
 
 ``pages-NNNNNN.dat``
     The page file: a sequence of fixed-size pages, each carrying a slice
@@ -44,8 +44,9 @@ Commit protocol
 4. Cross the named barrier and atomically replace ``SUPERBLOCK``.  This
    is the commit point: a crash before it leaves the previous generation,
    after it the new one.
-5. Prune superseded manifests and page files (skippable by the durable
-   checkpoint, which prunes only after its own manifest commits).
+5. Prune superseded manifests and page files.  A sharded save and a
+   durable checkpoint defer this step until their own manifest — the
+   commit point above the stores — names the new generations.
 
 Lazy loading
 ------------
@@ -69,13 +70,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.cluster import Cluster
+from repro.core.config import AdaptiveClusteringConfig
+from repro.core.cost_model import CostParameters, StorageScenario, SystemCostConstants
 from repro.core.index import AdaptiveClusteringIndex
-from repro.core.persistence import (
-    _config_from_dict,
-    _config_to_dict,
-    _signature_from_array,
-    _signature_to_array,
-)
+from repro.core.signature import ClusterSignature
 from repro.storage import storage_for_scenario
 from repro.storage.base import StorageBackend
 from repro.storage.pages import (
@@ -127,6 +125,67 @@ def _members_blob_id(cluster_id: int) -> int:
 def is_paged_store(directory: PathLike) -> bool:
     """True when *directory* looks like a paged store (has a superblock)."""
     return (Path(directory) / SUPERBLOCK_NAME).is_file()
+
+
+# ----------------------------------------------------------------------
+# Configuration and signature codecs (the page table's JSON payload)
+# ----------------------------------------------------------------------
+def config_to_dict(config: AdaptiveClusteringConfig) -> Dict[str, Any]:
+    """The index configuration as the page table records it."""
+    constants = config.cost.constants
+    return {
+        "scenario": config.cost.scenario.value,
+        "dimensions": config.cost.dimensions,
+        "constants": {
+            "disk_access_ms": constants.disk_access_ms,
+            "disk_transfer_ms_per_byte": constants.disk_transfer_ms_per_byte,
+            "signature_check_ms": constants.signature_check_ms,
+            "verification_ms_per_byte": constants.verification_ms_per_byte,
+            "exploration_setup_ms": constants.exploration_setup_ms,
+        },
+        "division_factor": config.division_factor,
+        "reorganization_period": config.reorganization_period,
+        "min_cluster_objects": config.min_cluster_objects,
+        "probability_smoothing": config.probability_smoothing,
+        "reserved_slot_fraction": config.reserved_slot_fraction,
+        "max_clusters": config.max_clusters,
+        "reset_statistics_on_reorganization": config.reset_statistics_on_reorganization,
+        "auto_reorganize": config.auto_reorganize,
+    }
+
+
+def config_from_dict(data: Dict[str, Any]) -> AdaptiveClusteringConfig:
+    """Invert :func:`config_to_dict`."""
+    cost = CostParameters(
+        scenario=StorageScenario.parse(data["scenario"]),
+        dimensions=int(data["dimensions"]),
+        constants=SystemCostConstants(**data["constants"]),
+    )
+    return AdaptiveClusteringConfig(
+        cost=cost,
+        division_factor=int(data["division_factor"]),
+        reorganization_period=int(data["reorganization_period"]),
+        min_cluster_objects=int(data["min_cluster_objects"]),
+        probability_smoothing=float(data["probability_smoothing"]),
+        reserved_slot_fraction=float(data["reserved_slot_fraction"]),
+        max_clusters=data["max_clusters"],
+        reset_statistics_on_reorganization=bool(
+            data["reset_statistics_on_reorganization"]
+        ),
+        auto_reorganize=bool(data["auto_reorganize"]),
+    )
+
+
+def signature_to_array(signature: ClusterSignature) -> np.ndarray:
+    """Signature rows ``[start_low, start_high, end_low, end_high]``."""
+    return np.vstack(
+        [signature.start_low, signature.start_high, signature.end_low, signature.end_high]
+    )
+
+
+def signature_from_array(values: np.ndarray) -> ClusterSignature:
+    """Invert :func:`signature_to_array`."""
+    return ClusterSignature.from_arrays(values[0], values[1], values[2], values[3])
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +772,7 @@ class PagedStore:
             page_size=page_size,
             pagefile=pagefile,
             total_pages=cursor,
-            config=_config_to_dict(index.config),
+            config=config_to_dict(index.config),
             total_queries=int(index.total_queries),
             queries_since_reorganization=int(index.queries_since_reorganization),
             reorganization_count=int(index.reorganization_count),
@@ -827,7 +886,7 @@ class PagedStore:
             creation_query=int(cluster.creation_query) if include_statistics else 0,
             n_objects=int(cluster.n_objects),
             signature=[
-                [float(v) for v in row] for row in _signature_to_array(cluster.signature)
+                [float(v) for v in row] for row in signature_to_array(cluster.signature)
             ],
             candidate_queries=candidate_queries,
             ids=ids_extent,
@@ -843,6 +902,27 @@ class PagedStore:
                 if match:
                     newest = max(newest, int(match.group(1)))
         return newest + 1
+
+    def generation_files(self) -> List[Tuple[str, bytes]]:
+        """The committed generation as ``(file name, bytes)`` pairs.
+
+        Exactly what a copy of the store needs to reopen at this
+        generation: the superblock naming it, its page-table manifest and
+        the page file up to the generation's append point (an uncommitted
+        append tail is left out).  Replication bootstraps followers from
+        these files.
+        """
+        table = self._table
+        if table is None:
+            raise ValueError(f"paged store {self._directory} has no committed generation")
+        manifest = _manifest_name(table.generation)
+        with open(self._directory / table.pagefile, "rb") as handle:
+            pages = handle.read(table.total_pages * table.page_size)
+        return [
+            (SUPERBLOCK_NAME, encode_superblock(table.page_size, table.generation)),
+            (manifest, (self._directory / manifest).read_bytes()),
+            (table.pagefile, pages),
+        ]
 
     # -- maintenance -----------------------------------------------------
     def prune(self) -> None:
@@ -887,15 +967,14 @@ class PagedStore:
     ) -> AdaptiveClusteringIndex:
         """Rebuild the committed index; ``lazy=True`` defers member arrays.
 
-        Mirrors :func:`repro.core.persistence.load_index`: candidate object
-        counts are recomputed from the member arrays (on load, or on first
-        touch for lazy clusters), so the statistics invariants hold either
-        way.
+        Candidate object counts are never stored: they are recomputed from
+        the member arrays (on load, or on first touch for lazy clusters),
+        so the statistics invariants hold either way.
         """
         table = self._table
         if table is None:
             raise ValueError(f"paged store {self._directory} has no committed generation")
-        config = _config_from_dict(table.config)
+        config = config_from_dict(table.config)
         dimensions = int(config.dimensions)
         storage = storage or storage_for_scenario(
             config.scenario, config.cost, config.reserved_slot_fraction
@@ -911,6 +990,14 @@ class PagedStore:
 
         pagefile_path = self._directory / table.pagefile
         page_size = table.page_size
+        # A truncated page file fails here, not at a lazy cluster's first touch.
+        size = pagefile_path.stat().st_size if pagefile_path.is_file() else 0
+        if size < table.total_pages * page_size:
+            raise ValueError(
+                f"corrupt paged store: {pagefile_path} holds {size} bytes, "
+                f"generation {table.generation} needs {table.total_pages * page_size} "
+                "(run `repro repair` to salvage the intact pages)"
+            )
         buffer: Optional[bytes] = None if lazy else pagefile_path.read_bytes()
 
         root_id: Optional[int] = None
@@ -918,9 +1005,7 @@ class PagedStore:
         for entry in table.clusters:
             cluster_id = entry.cluster_id
             max_cluster_id = max(max_cluster_id, cluster_id)
-            signature = _signature_from_array(
-                np.asarray(entry.signature, dtype=np.float64)
-            )
+            signature = signature_from_array(np.asarray(entry.signature, dtype=np.float64))
             ids_blob = _ids_blob_id(cluster_id)
             if buffer is not None:
                 ids_data = _extract_blob(
@@ -1023,3 +1108,10 @@ class PagedStore:
             f"PagedStore({str(self._directory)!r}, generation={self.generation}, "
             f"page_size={self._page_size})"
         )
+
+
+def open_store(directory: PathLike, *, fs: FileSystem = REAL_FS) -> PagedStore:
+    """The store at *directory* (at its superblock generation), or a new one."""
+    if is_paged_store(directory):
+        return PagedStore.open(directory, fs=fs)
+    return PagedStore.create(directory, fs=fs)

@@ -10,7 +10,8 @@ the serving and replication protocols — carries a JSON header plus blobs::
 Each protocol names itself with one :class:`Codec`, so nothing here
 branches on its caller.  The readers return ``None`` on a clean EOF
 between frames and raise the codec's error on a truncated frame, a
-length above the frame ceiling or a checksum mismatch.  Client sockets
+length above the frame ceiling or a checksum mismatch; the writers refuse
+to frame such a length at all (:class:`FrameTooLarge`).  Client sockets
 live in :class:`Connection` and the blocking readers (lint rule RL007).
 """
 
@@ -29,7 +30,12 @@ FRAME_HEAD = struct.Struct("<II")
 _U32 = struct.Struct("<I")
 
 #: Defensive ceiling against reading a garbage length prefix as 4 GiB.
+#: Senders refuse to frame a larger payload (:class:`FrameTooLarge`).
 _MAX_FRAME_BYTES = 1 << 30
+
+
+class FrameTooLarge(ValueError):
+    """A payload above the frame ceiling, refused before any byte is sent."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,14 @@ class Codec:
 
 
 def seal(payload: bytes) -> bytes:
-    """Frame *payload*: u32 length, u32 CRC-32, payload."""
+    """Frame *payload*: u32 length, u32 CRC-32, payload.
+
+    Raises :class:`FrameTooLarge` for a payload every reader would refuse.
+    """
+    if len(payload) > _MAX_FRAME_BYTES:
+        raise FrameTooLarge(
+            f"payload of {len(payload)} bytes exceeds the {_MAX_FRAME_BYTES}-byte frame limit"
+        )
     return FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -75,7 +88,10 @@ def _verified(payload: Optional[bytes], length: int, checksum: int, codec: Codec
 
 
 def encode_message(header: Dict[str, Any], blobs: Sequence[bytes] = ()) -> bytes:
-    """Encode one message frame: a JSON header plus length-prefixed blobs."""
+    """Encode one message frame: a JSON header plus length-prefixed blobs.
+
+    Raises :class:`FrameTooLarge` when the message exceeds the frame ceiling.
+    """
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_U32.pack(len(head)), head, _U32.pack(len(blobs))]
     for blob in blobs:

@@ -186,10 +186,12 @@ class TestDurableLifecycle:
         db.checkpoint()
         manifest = json.loads((tmp_path / "d" / CHECKPOINT_MANIFEST_NAME).read_text())
         assert manifest["seq"] == first["seq"] + 1
-        directories = sorted(
-            entry.name for entry in (tmp_path / "d").glob("checkpoint-*")
-        )
-        assert directories == [manifest["directory"]]
+        # Each paged store keeps only the generation the manifest names.
+        for entry in manifest["stores"]:
+            store = tmp_path / "d" / entry["directory"]
+            assert sorted(path.name for path in store.glob("manifest-*.json")) == [
+                f"manifest-{entry['generation']:06d}.json"
+            ]
         for entry in manifest["wals"]:
             scan = read_wal(tmp_path / "d" / entry["file"])
             assert scan.records == ()

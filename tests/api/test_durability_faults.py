@@ -12,25 +12,35 @@ post-op fingerprint of the in-flight operation.  Never anything else.
 
 This enumerates every crash point the durability design distinguishes:
 mid-WAL-append (a torn record), after the append but before the fsync
-(cache lost / partially lost / flushed), mid-checkpoint (payload written,
-directory renamed, manifest written, WALs being reset), and — for the
-staged multi-shard operations — between the pending record, the per-shard
-appends and their fsyncs.
+(cache lost / partially lost / flushed), mid-checkpoint (page-file
+appends, store manifests, superblock flips, the checkpoint manifest,
+WAL resets, generation pruning), and — for the staged multi-shard
+operations — between the pending record, the per-shard appends and their
+fsyncs.  A second enumeration crosses two incremental checkpoints.
 
 The seeded fuzz suite interleaves random mutations, checkpoints, crashes
 and reopens, and fails with a replayable one-op-per-line log (mirroring
 ``tests/api/test_sharding_properties.py``).  A separate pass regression-
 tests the non-WAL :meth:`ShardedDatabase.save` atomic-commit discipline,
-and one test crashes recovery itself to pin that recovery is restartable.
+one test crashes recovery itself to pin that recovery is restartable, and
+the last section pins the paged stores underneath: a store left a
+generation ahead rolls back to the one the manifest names, and a crashed
+``repro repair`` never harms its source.
 """
 
+import json
 import shutil
 
 import numpy as np
 import pytest
 
 from repro.api import DurableBackend, ShardedDatabase, create_backend
+from repro.api.durability import CHECKPOINT_MANIFEST_NAME
+from repro.api.sharding import SHARD_MANIFEST_NAME
 from repro.geometry.box import HyperRectangle
+from repro.recovery import repair_store
+from repro.storage.pagefile import SUPERBLOCK_NAME, PagedStore
+from repro.storage.pages import decode_superblock
 
 DIMENSIONS = 3
 INITIAL_OBJECTS = 20
@@ -422,3 +432,217 @@ def test_op_log_renders_replayable_lines():
         "step 0: ('insert', [1000])",
         "DIVERGED at step 1",
     ]
+
+
+# ----------------------------------------------------------------------
+# Two incremental checkpoints: the append path of the paged stores
+# ----------------------------------------------------------------------
+INCREMENTAL_SCENARIOS = [
+    pytest.param("plain", None, None, id="plain"),
+    pytest.param("sharded", 2, "spatial", id="sharded-2-spatial"),
+]
+
+
+def make_incremental_script():
+    """Crosses two checkpoints with mutations between and after.
+
+    The creation checkpoint writes every cluster (a fresh store); the two
+    explicit ones are incremental over small dirty sets.  The tail
+    mutations leave a WAL segment to replay over whichever checkpoint
+    survived.
+    """
+    return [
+        ("insert", 200, make_pairs(1, seed=200, first_id=200)[0][1]),
+        ("bulk_load", make_pairs(8, seed=210, first_id=210)),
+        ("checkpoint",),
+        ("delete", 3),
+        ("insert", 300, make_pairs(1, seed=300, first_id=300)[0][1]),
+        ("checkpoint",),
+        ("delete_bulk", [0, 1, 210, 9_999]),
+        ("bulk_load", make_pairs(4, seed=310, first_id=310)),
+    ]
+
+
+@pytest.mark.parametrize("layout, shards, router", INCREMENTAL_SCENARIOS)
+def test_every_crash_point_across_incremental_checkpoints(
+    layout, shards, router, tmp_path, faulty_fs_cls, injected_crash_cls
+):
+    script = make_incremental_script()
+    golden_fs = faulty_fs_cls()
+    golden = DurableBackend.create(
+        build_inner(layout, shards, router), tmp_path / "golden", fs=golden_fs
+    )
+    fingerprints = [fingerprint(golden)]
+    for op in script:
+        apply_op(golden, op)
+        fingerprints.append(fingerprint(golden))
+    total_ops = golden_fs.ops
+    golden.close()
+    assert total_ops > 20, "the script must exercise a real spread of crash points"
+
+    checked = 0
+    for crash_at in range(total_ops):
+        op_kind = golden_fs.op_log[crash_at][0]
+        modes = ("none", "half", "all") if op_kind in ("write", "fsync") else ("none",)
+        for mode in modes:
+            wal_dir = tmp_path / f"crash-{crash_at}-{mode}"
+            fs = faulty_fs_cls(crash_at=crash_at, mode=mode)
+            applied = -1
+            try:
+                db = DurableBackend.create(
+                    build_inner(layout, shards, router), wal_dir, fs=fs
+                )
+                applied = 0
+                for position, op in enumerate(script):
+                    apply_op(db, op)
+                    applied = position + 1
+            except injected_crash_cls:
+                pass
+            else:  # pragma: no cover - enumeration bug guard
+                pytest.fail(
+                    f"crash point {crash_at} ({op_kind}) never fired; the "
+                    "crash pass diverged from the golden pass"
+                )
+            spec = f"crash_at={crash_at} ({op_kind}), mode={mode}, applied={applied}"
+            try:
+                recovered = DurableBackend.recover(wal_dir)
+            except ValueError as error:
+                assert applied == -1, f"recovery failed after {spec}: {error}"
+                continue
+            got = fingerprint(recovered)
+            recovered.close()
+            if applied == -1:
+                allowed = {fingerprints[0]}
+            else:
+                allowed = {fingerprints[applied], fingerprints[applied + 1]}
+            assert got in allowed, (
+                f"DIVERGED at {spec}: recovered {got[0]} objects, expected "
+                f"pre-op {fingerprints[max(applied, 0)][0]} or post-op "
+                f"{fingerprints[min(max(applied, 0) + 1, len(script))][0]};\n"
+                f"in-flight op: {script[applied] if 0 <= applied < len(script) else 'create'}\n"
+                f"got ids:  {got[1]}\n"
+                f"allowed: {sorted(allowed)}"
+            )
+            checked += 1
+    assert checked > total_ops * 0.5
+
+
+# ----------------------------------------------------------------------
+# The paged stores underneath: rollback to the committed generation
+# ----------------------------------------------------------------------
+def superblock_generation(directory):
+    return decode_superblock((directory / SUPERBLOCK_NAME).read_bytes()).generation
+
+
+def crash_at_barrier(faulty_fs_cls, label):
+    """A fault-injection filesystem that dies at the named barrier."""
+
+    class BarrierCrash(faulty_fs_cls):
+        def barrier(self, name):
+            if name == label:
+                self.crash_at = self.ops
+            super().barrier(name)
+
+    return BarrierCrash()
+
+
+def test_recovery_rolls_a_store_back_to_the_manifest_generation(
+    tmp_path, faulty_fs_cls, injected_crash_cls
+):
+    wal_dir = tmp_path / "db"
+    db = DurableBackend.create(build_inner("plain", None, None), wal_dir)
+    db.insert(400, make_pairs(1, seed=400, first_id=400)[0][1])
+    expected = fingerprint(db)
+    committed = superblock_generation(wal_dir / "pages-000")
+    db.close()
+    # Die at the payload barrier of recovery's checkpoint: the store has
+    # committed a new generation (its superblock moved), the checkpoint
+    # manifest has not, and nothing is pruned yet.
+    with pytest.raises(injected_crash_cls):
+        DurableBackend.recover(
+            wal_dir, fs=crash_at_barrier(faulty_fs_cls, "checkpoint-payload")
+        )
+    store = wal_dir / "pages-000"
+    assert superblock_generation(store) == committed + 1
+    manifest = json.loads((wal_dir / CHECKPOINT_MANIFEST_NAME).read_text())
+    assert manifest["stores"][0]["generation"] == committed
+
+    recovered = DurableBackend.recover(wal_dir)
+    assert fingerprint(recovered) == expected
+    recovered.close()
+    # Recovery rolled the store back before its own checkpoint moved it
+    # on: exactly one generation survives, the one the manifest names.
+    manifest = json.loads((wal_dir / CHECKPOINT_MANIFEST_NAME).read_text())
+    generation = manifest["stores"][0]["generation"]
+    assert superblock_generation(store) == generation
+    assert sorted(path.name for path in store.glob("manifest-*.json")) == [
+        f"manifest-{generation:06d}.json"
+    ]
+
+
+def test_sharded_open_uses_the_manifest_generation_not_the_superblock(
+    tmp_path, faulty_fs_cls, injected_crash_cls
+):
+    db = ShardedDatabase.create("ac", DIMENSIONS, shards=2, router="hash")
+    db.bulk_load(make_pairs(20, seed=530))
+    target = tmp_path / "snapshot"
+    db.save(target)
+    state_old = fingerprint(ShardedDatabase.open(target))
+    db.bulk_load(make_pairs(5, seed=540, first_id=700))
+    with pytest.raises(injected_crash_cls):
+        db.save(target, fs=crash_at_barrier(faulty_fs_cls, "sharded-save-commit"))
+    manifest = json.loads((target / SHARD_MANIFEST_NAME).read_text())
+    for entry in manifest["shards"]:
+        # Every store committed its new generation; the manifest did not.
+        assert superblock_generation(target / entry["store"]) == entry["generation"] + 1
+    assert fingerprint(ShardedDatabase.open(target)) == state_old
+
+
+# ----------------------------------------------------------------------
+# Crash during repair: the source survives, the torn destination is inert
+# ----------------------------------------------------------------------
+def test_every_repair_crash_point_leaves_source_repairable(
+    tmp_path, faulty_fs_cls, injected_crash_cls
+):
+    db = DurableBackend.create(build_inner("plain", None, None), tmp_path / "wal")
+    db.bulk_load(make_pairs(40, seed=600, first_id=600))
+    db.checkpoint()
+    db.close()
+    source = tmp_path / "wal" / "pages-000"
+    expected = fingerprint(PagedStore.open(source).load_index())
+    source_bytes = sorted(
+        (entry.name, entry.read_bytes()) for entry in source.iterdir()
+    )
+
+    counting = faulty_fs_cls()
+    golden_report = repair_store(source, tmp_path / "golden", fs=counting)
+    assert golden_report.lossless
+    assert counting.ops > 5
+
+    for crash_at in range(counting.ops):
+        destination = tmp_path / f"torn-{crash_at}"
+        with pytest.raises(injected_crash_cls):
+            repair_store(
+                source, destination, fs=faulty_fs_cls(crash_at=crash_at)
+            )
+        # Repair reads the source and only writes the destination.
+        assert (
+            sorted((entry.name, entry.read_bytes()) for entry in source.iterdir())
+            == source_bytes
+        ), f"repair crash at op {crash_at} mutated the source store"
+        # A torn destination never reopens to a partial state: either no
+        # generation committed (the open is refused) or — if the crash
+        # fired after the superblock flip — it holds the full salvage.
+        try:
+            torn = PagedStore.open(destination)
+        except (FileNotFoundError, ValueError):
+            pass
+        else:
+            assert fingerprint(torn.load_index()) == expected, (
+                f"repair crash at op {crash_at} committed a partial generation"
+            )
+        # And a rerun into a fresh destination always completes.
+        retry = tmp_path / f"retry-{crash_at}"
+        report = repair_store(source, retry, fs=faulty_fs_cls())
+        assert report.lossless
+        assert fingerprint(PagedStore.open(retry).load_index()) == expected

@@ -1,25 +1,19 @@
-"""Paged checkpoints and checkpoint retention at the API layer.
+"""Paged checkpoints and paged snapshots at the API layer.
 
-Covers the two checkpoint modes :class:`~repro.api.durability.
-DurableBackend` now offers:
+Every :class:`~repro.api.durability.DurableBackend` checkpoint commits
+into per-shard :class:`PagedStore` directories: the second checkpoint
+after a small mutation is *incremental* (writes a fraction of the pages),
+recovery reopens the stores lazily and replays the WAL tail, and the
+same holds through the ``DatabaseConfig`` surface.
 
-* ``checkpoint_mode="paged"`` — per-shard :class:`PagedStore` commits
-  instead of directory snapshots: the second checkpoint after a small
-  mutation is *incremental* (writes a fraction of the pages), recovery
-  reopens the stores lazily and replays the WAL tail, and the mode
-  round-trips through ``recover`` and the ``DatabaseConfig`` surface.
-* ``keep_checkpoints=N`` — full-mode retention: superseded
-  ``checkpoint-NNNNNN`` directories survive pruning up to the keep
-  count, oldest evicted first.
-
-Plus the ``Database.save_paged`` / ``Database.open`` / ``Database.attach``
+Plus the ``Database.save`` / ``Database.open`` / ``Database.attach``
 standalone-store path (no WAL), for plain and sharded databases.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import Database, DurableBackend, ReplicatedBackend, create_backend
+from repro.api import Database, DurableBackend, create_backend
 from repro.api.config import DatabaseConfig
 from repro.api.sharding import ShardedDatabase
 from repro.geometry.box import HyperRectangle
@@ -44,24 +38,47 @@ def fingerprint(backend):
     return (backend.n_objects, tuple(sorted(int(i) for i in result.ids)))
 
 
+def adapt(db, rng, rounds=3):
+    """Form clusters from query feedback; a lone root makes nothing incremental."""
+    for _ in range(rounds):
+        queries = []
+        for _query in range(150):
+            center = rng.random(DIMENSIONS) * 0.9
+            queries.append(HyperRectangle(center, np.minimum(center + 0.05, 1.0)))
+        db.execute_batch(queries)
+        db.reorganize()
+
+
+def rewritten_clusters(before, after):
+    """Clusters of page table *after* whose extents differ from *before*."""
+    previous = {entry.cluster_id: (entry.ids, entry.members) for entry in before.clusters}
+    return [
+        entry
+        for entry in after.clusters
+        if previous.get(entry.cluster_id) != (entry.ids, entry.members)
+    ]
+
+
+def store_table(wal_dir, position):
+    return PagedStore.open(wal_dir / f"pages-{position:03d}").table
+
+
 class TestPagedDurability:
     def test_checkpoint_recover_round_trip(self, tmp_path):
         inner = create_backend("ac", DIMENSIONS)
-        db = DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
-        assert db.checkpoint_mode == "paged"
+        db = DurableBackend.create(inner, tmp_path / "wal")
         db.bulk_load(make_pairs(80, seed=1))
         db.checkpoint()
         expected = fingerprint(db)
         db.close()
 
         recovered = DurableBackend.recover(tmp_path / "wal")
-        assert recovered.checkpoint_mode == "paged"
         assert fingerprint(recovered) == expected
         recovered.close()
 
     def test_second_checkpoint_is_incremental(self, tmp_path):
         inner = create_backend("ac", DIMENSIONS)
-        db = DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
+        db = DurableBackend.create(inner, tmp_path / "wal")
         rng = np.random.default_rng(2)
         db.bulk_load(
             (
@@ -70,28 +87,59 @@ class TestPagedDurability:
             )
             for object_id, lows in enumerate(rng.random((400, DIMENSIONS)) * 0.8)
         )
-        # Clusters form from query feedback; without them every commit
-        # rewrites the single root cluster and nothing is incremental.
-        for _ in range(3):
-            for _query in range(150):
-                center = rng.random(DIMENSIONS) * 0.9
-                db.execute(HyperRectangle(center, np.minimum(center + 0.05, 1.0)))
-            db.reorganize()
+        adapt(db, rng)
         db.checkpoint()
-        (full,) = db.last_paged_commits
-        assert full.clusters_total > 1
+        full = store_table(tmp_path / "wal", 0)
+        assert len(full.clusters) > 1
 
         db.insert(9_000, make_pairs(1, seed=3, first_id=9_000)[0][1])
         db.checkpoint()
-        (incremental,) = db.last_paged_commits
-        assert incremental.mode == "incremental"
-        assert 0 < incremental.clusters_written < full.clusters_total
-        assert incremental.pages_written < full.pages_written
+        incremental = store_table(tmp_path / "wal", 0)
+        # Appended to the same page file: only the touched clusters moved.
+        assert incremental.pagefile == full.pagefile
+        assert 0 < len(rewritten_clusters(full, incremental)) < len(incremental.clusters)
+        assert incremental.total_pages - full.total_pages < full.live_pages
         db.close()
+
+    def test_process_shards_checkpoint_only_their_changed_clusters(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        database = Database.create("ac", DIMENSIONS, shards=2, execution="process", wal_dir=wal_dir)
+        try:
+            rng = np.random.default_rng(22)
+            database.bulk_load(
+                (object_id, HyperRectangle(lows, np.minimum(lows + 0.05, 1.0)))
+                for object_id, lows in enumerate(rng.random((1600, DIMENSIONS)) * 0.8)
+            )
+            adapt(database, rng)
+            database.checkpoint()
+            before = [store_table(wal_dir, position) for position in range(2)]
+
+            object_id, box = make_pairs(1, seed=23, first_id=9_000)[0]
+            touched = database.backend.inner.router.shard_of(object_id, box)
+            database.insert(object_id, box)
+            database.checkpoint()
+            for position in range(2):
+                after = store_table(wal_dir, position)
+                assert after.generation == before[position].generation + 1
+                rewritten = rewritten_clusters(before[position], after)
+                if position == touched:
+                    assert len(before[position].clusters) > 1
+                    assert 0 < len(rewritten) < len(after.clusters)
+                    appended = after.total_pages - before[position].total_pages
+                    assert 0 < appended < before[position].live_pages
+                else:
+                    assert rewritten == []
+                    assert after.total_pages == before[position].total_pages
+            expected = fingerprint(database)
+        finally:
+            database.close()
+        recovered = Database.recover(wal_dir)
+        assert fingerprint(recovered) == expected
+        recovered.close()
 
     def test_wal_tail_replays_over_paged_checkpoint(self, tmp_path):
         inner = create_backend("ac", DIMENSIONS)
-        db = DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
+        db = DurableBackend.create(inner, tmp_path / "wal")
         db.bulk_load(make_pairs(60, seed=4))
         db.checkpoint()
         # Mutations after the checkpoint live only in the WAL tail.
@@ -105,7 +153,7 @@ class TestPagedDurability:
 
     def test_sharded_paged_checkpoint_recovers_with_router(self, tmp_path):
         inner = ShardedDatabase.create("ac", DIMENSIONS, shards=3, router="spatial")
-        db = DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
+        db = DurableBackend.create(inner, tmp_path / "wal")
         db.bulk_load(make_pairs(90, seed=6))
         db.checkpoint()
         db.insert(700, make_pairs(1, seed=7, first_id=700)[0][1])
@@ -123,56 +171,7 @@ class TestPagedDurability:
 
         inner = create_backend("rs", DIMENSIONS)
         with pytest.raises(UnsupportedOperation, match="persistence"):
-            DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
-
-    def test_unknown_checkpoint_mode_is_rejected(self, tmp_path):
-        inner = create_backend("ac", DIMENSIONS)
-        with pytest.raises(ValueError, match="checkpoint mode"):
-            DurableBackend.create(inner, tmp_path / "wal", checkpoint_mode="nvram")
-
-    def test_replicated_primary_rejects_paged_mode(self, tmp_path):
-        inner = create_backend("ac", DIMENSIONS)
-        with pytest.raises(ValueError, match="not replicable"):
-            ReplicatedBackend.create(inner, tmp_path / "wal", checkpoint_mode="paged")
-
-
-class TestCheckpointRetention:
-    def test_keep_checkpoints_retains_the_newest_n(self, tmp_path):
-        inner = create_backend("ac", DIMENSIONS)
-        db = DurableBackend.create(inner, tmp_path / "wal", keep_checkpoints=3)
-        assert db.keep_checkpoints == 3
-        db.bulk_load(make_pairs(30, seed=8))
-        for position in range(6):
-            db.insert(100 + position, make_pairs(1, seed=9, first_id=100 + position)[0][1])
-            db.checkpoint()
-        snapshots = sorted(
-            entry.name for entry in (tmp_path / "wal").glob("checkpoint-*") if entry.is_dir()
-        )
-        assert len(snapshots) == 3
-        # The newest three: creation wrote seq 1, the loop seqs 2..7.
-        assert snapshots == ["checkpoint-000005", "checkpoint-000006", "checkpoint-000007"]
-        expected = fingerprint(db)
-        db.close()
-        recovered = DurableBackend.recover(tmp_path / "wal", keep_checkpoints=3)
-        assert fingerprint(recovered) == expected
-        recovered.close()
-
-    def test_default_retention_keeps_one(self, tmp_path):
-        inner = create_backend("ac", DIMENSIONS)
-        db = DurableBackend.create(inner, tmp_path / "wal")
-        db.bulk_load(make_pairs(20, seed=10))
-        db.checkpoint()
-        db.checkpoint()
-        snapshots = [
-            entry for entry in (tmp_path / "wal").glob("checkpoint-*") if entry.is_dir()
-        ]
-        assert len(snapshots) == 1
-        db.close()
-
-    def test_keep_checkpoints_must_be_positive(self, tmp_path):
-        inner = create_backend("ac", DIMENSIONS)
-        with pytest.raises(ValueError, match="keep_checkpoints"):
-            DurableBackend.create(inner, tmp_path / "wal", keep_checkpoints=0)
+            DurableBackend.create(inner, tmp_path / "wal")
 
 
 class TestConfigSurface:
@@ -182,8 +181,6 @@ class TestConfigSurface:
             dimensions=DIMENSIONS,
             durable=True,
             wal_dir=tmp_path / "wal",
-            checkpoint_mode="paged",
-            keep_checkpoints=2,
         )
         database = Database.from_config(config)
         database.bulk_load(make_pairs(40, seed=11))
@@ -193,63 +190,43 @@ class TestConfigSurface:
         attached = Database.attach(tmp_path / "wal")
         assert fingerprint(attached.backend) == expected
 
-    def test_paged_mode_without_wal_dir_is_rejected(self):
-        with pytest.raises(ValueError, match="wal_dir"):
-            DatabaseConfig(method="ac", checkpoint_mode="paged")
-
-    def test_zero_retention_is_rejected(self):
-        with pytest.raises(ValueError, match="keep_checkpoints"):
-            DatabaseConfig(method="ac", keep_checkpoints=0)
-
-    def test_replication_with_paged_mode_is_rejected(self, tmp_path):
-        from repro.api.config import ReplicationOptions
-
-        with pytest.raises(ValueError, match="not replicable"):
-            DatabaseConfig(
-                method="ac",
-                durable=True,
-                wal_dir=tmp_path / "wal",
-                checkpoint_mode="paged",
-                replication=ReplicationOptions(role="primary"),
-            )
-
 
 class TestStandalonePagedStores:
-    def test_save_paged_open_round_trip(self, tmp_path):
+    def test_save_open_round_trip(self, tmp_path):
         database = Database.create("ac", DIMENSIONS)
         database.bulk_load(make_pairs(120, seed=12))
-        path = database.save_paged(tmp_path / "store.pages")
+        path = database.save(tmp_path / "store.pages")
         assert is_paged_store(path)
         reopened = Database.open(path)
         assert fingerprint(reopened.backend) == fingerprint(database.backend)
         attached = Database.attach(path)
         assert fingerprint(attached.backend) == fingerprint(database.backend)
 
-    def test_save_paged_twice_is_incremental(self, tmp_path):
+    def test_second_save_is_incremental(self, tmp_path):
         database = Database.create("ac", DIMENSIONS)
         database.bulk_load(make_pairs(120, seed=13))
-        database.save_paged(tmp_path / "store.pages")
+        database.save(tmp_path / "store.pages")
         generation_one = PagedStore.open(tmp_path / "store.pages").generation
 
         database.insert(9_000, make_pairs(1, seed=14, first_id=9_000)[0][1])
-        database.save_paged(tmp_path / "store.pages")
+        database.save(tmp_path / "store.pages")
         store = PagedStore.open(tmp_path / "store.pages")
         assert store.generation == generation_one + 1
         reopened = Database.open(tmp_path / "store.pages")
         assert fingerprint(reopened.backend) == fingerprint(database.backend)
 
-    def test_sharded_save_paged_round_trip(self, tmp_path):
+    def test_sharded_save_round_trip(self, tmp_path):
         database = Database.create("ac", DIMENSIONS, shards=2, router="spatial")
         database.bulk_load(make_pairs(100, seed=15))
-        path = database.save_paged(tmp_path / "sharded.pages")
+        path = database.save(tmp_path / "sharded.pages")
         reopened = Database.open(path)
         assert isinstance(reopened.backend, ShardedDatabase)  # repro-lint: disable=RL003 -- pins that the paged manifest restored the sharded layout
         assert fingerprint(reopened.backend) == fingerprint(database.backend)
 
-    def test_save_paged_requires_a_persistable_backend(self, tmp_path):
+    def test_save_requires_a_persistable_backend(self, tmp_path):
         from repro.api import UnsupportedOperation
 
         database = Database.create("rs", DIMENSIONS)
         database.bulk_load(make_pairs(10, seed=16))
         with pytest.raises(UnsupportedOperation):
-            database.save_paged(tmp_path / "store.pages")
+            database.save(tmp_path / "store.pages")

@@ -34,7 +34,9 @@ from repro.api.replication import (
     decode_message,
     encode_message,
 )
+from repro import wire
 from repro.geometry.box import HyperRectangle
+from repro.storage.pagefile import PagedStore
 from repro.storage.wal import read_frames
 
 DIMENSIONS = 4
@@ -219,6 +221,61 @@ class TestBootstrap:
             node.handle({"kind": "frames", "shard": 0}, [])
         with pytest.raises(ReplicationError, match="not bootstrapped"):
             node.live_backend
+
+
+class TestPagedBootstrap:
+    """Followers start from the primary's committed paged generation."""
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "sharded"])
+    def test_follower_clones_the_committed_generation_and_promotes(
+        self, tmp_path, shards
+    ):
+        if shards is None:
+            inner = create_backend("ac", DIMENSIONS)
+        else:
+            inner = ShardedDatabase.create("ac", DIMENSIONS, shards=shards)
+        primary = ReplicatedBackend.create(inner, tmp_path / "primary")
+        primary.bulk_load(make_pairs(60, seed=40))
+        primary.checkpoint()
+        primary.insert(500, make_pairs(1, seed=41, first_id=500)[0][1])
+        node = attached_node(primary, tmp_path / "replica")
+        manifest = json.loads((primary.wal_dir / "CHECKPOINT.json").read_text())
+        assert len(manifest["stores"]) == (shards or 1)
+        for entry in manifest["stores"]:
+            # Superblock, manifest and page file of exactly that generation.
+            clone = node.directory / entry["directory"]
+            assert PagedStore.open(clone).generation == entry["generation"]
+            assert directory_bytes(clone) == directory_bytes(
+                primary.wal_dir / entry["directory"]
+            )
+        primary.delete(5)
+        expected = sweep(primary)
+        assert sweep(node.live_backend) == expected
+        primary.detach_replicas()
+        primary.close()
+        node.close()
+        promoted = promote(node.directory)
+        assert sweep(promoted) == expected
+        promoted.close()
+
+    def test_bootstrap_over_the_frame_ceiling_leaves_the_primary_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        primary = make_primary(tmp_path)
+        primary.bulk_load(make_pairs(200, seed=42))
+        before = directory_bytes(primary.wal_dir)
+        monkeypatch.setattr(wire, "_MAX_FRAME_BYTES", 4096)
+        node = ReplicaNode(tmp_path / "replica")
+        with pytest.raises(ReplicationError, match="bootstrap message refused"):
+            primary.attach_replica(InProcessTransport(node))
+        assert primary.replicas == ()
+        assert not node.initialized
+        assert directory_bytes(primary.wal_dir) == before
+        monkeypatch.undo()
+        # The primary keeps serving and can still bootstrap a follower.
+        primary.insert(900, make_pairs(1, seed=43, first_id=900)[0][1])
+        follower = attached_node(primary, tmp_path / "second")
+        assert sweep(follower.live_backend) == sweep(primary)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Persistence round-trips and failure modes of the shard manifest layout."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.api import Database, ShardedDatabase, UnsupportedOperation
 from repro.api.sharding import SHARD_MANIFEST_NAME, is_sharded_snapshot
 from repro.geometry.box import HyperRectangle
+from repro.storage.pagefile import PagedStore, is_paged_store
 
 DIMENSIONS = 4
 
@@ -38,10 +40,10 @@ def snapshot_path(sharded, tmp_path):
     return sharded.save(tmp_path / "db.shards")
 
 
-def shard_file(snapshot_path, position):
-    """Resolve one shard's snapshot file through the manifest."""
+def shard_store(snapshot_path, position):
+    """Resolve one shard's paged store through the manifest."""
     manifest = json.loads((snapshot_path / SHARD_MANIFEST_NAME).read_text())
-    return snapshot_path / manifest["shards"][position]["file"]
+    return snapshot_path / manifest["shards"][position]["store"]
 
 
 class TestRoundTrip:
@@ -66,28 +68,41 @@ class TestRoundTrip:
             assert np.array_equal(one.ids, two.ids)
             assert one.execution.core_counters() == two.execution.core_counters()
 
-    def test_layout_is_manifest_plus_one_file_per_shard(self, snapshot_path):
+    def test_layout_is_manifest_plus_one_store_per_shard(self, snapshot_path):
         assert is_sharded_snapshot(snapshot_path)
         manifest = json.loads((snapshot_path / SHARD_MANIFEST_NAME).read_text())
         assert manifest["shard_count"] == 3
         assert manifest["router"] == {"kind": "spatial", "dimension": 0}
-        assert manifest["generation"] == 1
-        files = sorted(entry["file"] for entry in manifest["shards"])
-        assert files == [
-            "gen-000001/shard_000.npz",
-            "gen-000001/shard_001.npz",
-            "gen-000001/shard_002.npz",
-        ]
+        stores = sorted(entry["store"] for entry in manifest["shards"])
+        assert stores == ["shard_000.pages", "shard_001.pages", "shard_002.pages"]
         for entry in manifest["shards"]:
-            assert (snapshot_path / entry["file"]).is_file()
+            assert entry["generation"] == 1
+            assert is_paged_store(snapshot_path / entry["store"])
 
     def test_resave_bumps_generation_and_cleans_the_old_one(self, sharded, snapshot_path):
         sharded.insert(9_000, make_pairs(1, seed=9)[0][1])
         sharded.save(snapshot_path)
         manifest = json.loads((snapshot_path / SHARD_MANIFEST_NAME).read_text())
-        assert manifest["generation"] == 2
-        assert not (snapshot_path / "gen-000001").exists()
+        for entry in manifest["shards"]:
+            assert entry["generation"] == 2
+            store = snapshot_path / entry["store"]
+            assert PagedStore.open(store).generation == 2
+            assert not (store / "manifest-000001.json").exists()
         assert ShardedDatabase.open(snapshot_path).n_objects == sharded.n_objects
+
+    def test_process_mode_open_answers_like_thread_mode(self, snapshot_path):
+        # The lazily opened shards are pickled into their workers' state
+        # files, which materializes them first.
+        threaded = ShardedDatabase.open(snapshot_path)
+        processed = ShardedDatabase.open(snapshot_path, execution="process")
+        try:
+            assert processed.execution == "process"
+            queries = [box for _, box in make_pairs(20, seed=4)]
+            for one, two in zip(processed.execute_batch(queries), threaded.execute_batch(queries)):
+                assert np.array_equal(one.ids, two.ids)
+                assert one.execution.core_counters() == two.execution.core_counters()
+        finally:
+            processed.close()
 
     def test_database_facade_dispatches_on_manifest(self, sharded, snapshot_path):
         database = Database(sharded)
@@ -122,7 +137,7 @@ class TestRoundTrip:
 
 
 class TestStatisticsRoundTrip:
-    """Reorganization counters and candidate statistics survive both layouts.
+    """Reorganization counters and candidate statistics survive a save.
 
     The adaptive schedule state (``queries_since_reorganization`` /
     ``reorganization_count``) and the per-cluster candidate query counts
@@ -161,14 +176,10 @@ class TestStatisticsRoundTrip:
             for cluster in shard.clusters():
                 assert cluster.candidates.query_counts.sum() == 0
 
-    def test_paged_save_round_trips_reorganization_state(self, sharded, tmp_path):
-        path = sharded.save_paged(tmp_path / "stats.pages")
-        self.assert_statistics_match(ShardedDatabase.open(path), sharded)
-
     def test_paged_facade_attach_round_trips_reorganization_state(
         self, sharded, tmp_path
     ):
-        path = Database(sharded).save_paged(tmp_path / "attach.pages")
+        path = Database(sharded).save(tmp_path / "attach.pages")
         attached = Database.attach(path)
         self.assert_statistics_match(attached.backend, sharded)
 
@@ -185,19 +196,20 @@ class TestFailureModes:
             ShardedDatabase.open(empty)
 
     def test_missing_shard_file_is_a_clean_error(self, snapshot_path):
-        shard_file(snapshot_path, 1).unlink()
-        with pytest.raises(ValueError, match="missing shard snapshot shard_001.npz"):
+        shutil.rmtree(shard_store(snapshot_path, 1))
+        with pytest.raises(ValueError, match="missing shard snapshot shard_001.pages"):
             ShardedDatabase.open(snapshot_path)
 
     def test_corrupt_shard_file_is_a_clean_error(self, snapshot_path):
-        shard_file(snapshot_path, 2).write_bytes(b"this is not a snapshot")
-        with pytest.raises(ValueError, match="corrupt shard snapshot shard_002.npz"):
+        (manifest,) = shard_store(snapshot_path, 2).glob("manifest-*.json")
+        manifest.write_bytes(b"this is not a page table")
+        with pytest.raises(ValueError, match="corrupt shard snapshot shard_002.pages"):
             ShardedDatabase.open(snapshot_path)
 
     def test_truncated_shard_file_is_a_clean_error(self, snapshot_path):
-        target = shard_file(snapshot_path, 0)
+        (target,) = shard_store(snapshot_path, 0).glob("pages-*.dat")
         target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
-        with pytest.raises(ValueError, match="corrupt shard snapshot shard_000.npz"):
+        with pytest.raises(ValueError, match="corrupt shard snapshot shard_000.pages"):
             ShardedDatabase.open(snapshot_path)
 
     def test_manifest_with_different_shard_count(self, snapshot_path):
@@ -216,12 +228,12 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="records 9999 objects"):
             ShardedDatabase.open(snapshot_path)
 
-    def test_manifest_entry_without_file_key(self, snapshot_path):
+    def test_manifest_entry_without_store_key(self, snapshot_path):
         manifest_path = snapshot_path / SHARD_MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        del manifest["shards"][1]["file"]
+        del manifest["shards"][1]["store"]
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="shard entry 1 has no snapshot file"):
+        with pytest.raises(ValueError, match="shard entry 1 names no store generation"):
             ShardedDatabase.open(snapshot_path)
 
     def test_unparseable_manifest(self, snapshot_path):

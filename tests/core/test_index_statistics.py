@@ -26,12 +26,17 @@ from repro.core import index as index_module
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
-from repro.core.persistence import load_index
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 from repro.storage.pagefile import LazyCluster, PagedStore
 from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+
+
+def load_index(path):
+    """Eagerly reopen the paged store an index ``save`` wrote."""
+    return PagedStore.open(path).load_index()
+
 
 RELATIONS = [
     SpatialRelation.INTERSECTS,
@@ -190,7 +195,7 @@ class Run:
     def restore(self, op, index):
         self.saves += 1
         if op == "save":
-            return load_index(index.save(self.tmp_path / f"snapshot-{self.saves}.npz"))
+            return load_index(index.save(self.tmp_path / f"snapshot-{self.saves}"))
         directory = self.tmp_path / f"paged-{self.saves}"
         PagedStore.create(directory).commit(index)
         restored = PagedStore.open(directory).load_index(lazy=True)
@@ -251,7 +256,7 @@ def test_copies_and_saves_carry_folded_counters(dataset, query_pools, tmp_path):
     restores = {
         "deepcopy": copy.deepcopy,
         "pickle": lambda index: pickle.loads(pickle.dumps(index)),
-        "save": lambda index: load_index(index.save(tmp_path / "snapshot.npz")),
+        "save": lambda index: load_index(index.save(tmp_path / "snapshot")),
     }
     for name, restore in restores.items():
         batch = copy.deepcopy(base)

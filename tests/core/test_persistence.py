@@ -1,13 +1,22 @@
-"""Tests for the crash-recovery snapshot (paper Section 6, Fail Recovery)."""
+"""Tests for the crash-recovery snapshot (paper Section 6, Fail Recovery).
+
+An index ``save`` commits a paged store (:mod:`repro.storage.pagefile`):
+the signatures with their members, plus a page-table manifest recording
+where each cluster lives.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.api import Database
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import CostParameters, StorageScenario
 from repro.core.index import AdaptiveClusteringIndex
-from repro.core.persistence import load_index, save_index
 from repro.geometry.box import HyperRectangle
+from repro.storage import pagefile
+from repro.storage.pagefile import PagedStore
 from repro.workloads.queries import generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
 
@@ -20,6 +29,14 @@ def dataset():
 @pytest.fixture(scope="module")
 def workload(dataset):
     return generate_query_workload(dataset, 20, target_selectivity=0.01, seed=62)
+
+
+def save_index(index, path, include_statistics=True):
+    return index.save(path, include_statistics=include_statistics)
+
+
+def load_index(path):
+    return PagedStore.open(path).load_index()
 
 
 def adapted_index(dataset, workload, scenario="memory"):
@@ -37,7 +54,7 @@ def adapted_index(dataset, workload, scenario="memory"):
 class TestRoundTrip:
     def test_structure_and_results_preserved(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
-        snapshot = save_index(original, tmp_path / "index.npz")
+        snapshot = save_index(original, tmp_path / "index")
         recovered = load_index(snapshot)
 
         assert recovered.n_objects == original.n_objects
@@ -52,7 +69,7 @@ class TestRoundTrip:
 
     def test_statistics_preserved(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
-        recovered = load_index(save_index(original, tmp_path / "stats.npz"))
+        recovered = load_index(save_index(original, tmp_path / "stats"))
         for cluster in original.clusters():
             twin = recovered.get_cluster(cluster.cluster_id)
             assert twin is not None
@@ -64,7 +81,7 @@ class TestRoundTrip:
     def test_statistics_can_be_dropped(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
         recovered = load_index(
-            save_index(original, tmp_path / "bare.npz", include_statistics=False)
+            save_index(original, tmp_path / "bare", include_statistics=False)
         )
         recovered.check_invariants()
         assert recovered.n_objects == original.n_objects
@@ -73,7 +90,7 @@ class TestRoundTrip:
 
     def test_disk_scenario_round_trip(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload, scenario="disk")
-        recovered = load_index(save_index(original, tmp_path / "disk.npz"))
+        recovered = load_index(save_index(original, tmp_path / "disk"))
         assert recovered.config.scenario is StorageScenario.DISK
         # Every recovered cluster has an extent in the simulated disk layout.
         assert len(recovered.storage.layout) == recovered.n_clusters
@@ -81,7 +98,7 @@ class TestRoundTrip:
 
     def test_config_round_trip(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
-        recovered = load_index(save_index(original, tmp_path / "config.npz"))
+        recovered = load_index(save_index(original, tmp_path / "config"))
         assert recovered.config.division_factor == original.config.division_factor
         assert recovered.config.reorganization_period == original.config.reorganization_period
         assert recovered.config.cost.constants == original.config.cost.constants
@@ -90,7 +107,7 @@ class TestRoundTrip:
 class TestRecoveredIndexKeepsWorking:
     def test_updates_and_reorganization_after_recovery(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
-        recovered = load_index(save_index(original, tmp_path / "live.npz"))
+        recovered = load_index(save_index(original, tmp_path / "live"))
         next_id = int(dataset.ids.max()) + 1
         rng = np.random.default_rng(63)
         for i in range(50):
@@ -104,7 +121,7 @@ class TestRecoveredIndexKeepsWorking:
 
     def test_fresh_empty_index_round_trip(self, tmp_path):
         index = AdaptiveClusteringIndex(dimensions=4)
-        recovered = load_index(save_index(index, tmp_path / "empty.npz"))
+        recovered = load_index(save_index(index, tmp_path / "empty"))
         assert recovered.n_objects == 0
         assert recovered.n_clusters == 1
         recovered.insert(1, HyperRectangle([0.1] * 4, [0.2] * 4))
@@ -119,13 +136,13 @@ class TestReorganizationSchedule:
         original = adapted_index(dataset, workload)
         assert original.queries_since_reorganization == 20
         assert original.reorganization_count == 6
-        recovered = load_index(save_index(original, tmp_path / "sched.npz"))
+        recovered = load_index(save_index(original, tmp_path / "sched"))
         assert recovered.queries_since_reorganization == original.queries_since_reorganization
         assert recovered.reorganization_count == original.reorganization_count
 
     def test_recovered_index_reorganizes_on_schedule(self, dataset, workload, tmp_path):
         original = adapted_index(dataset, workload)
-        recovered = load_index(save_index(original, tmp_path / "resume.npz"))
+        recovered = load_index(save_index(original, tmp_path / "resume"))
         remaining = original.config.reorganization_period - original.queries_since_reorganization
         for i in range(remaining):
             original.query(workload.queries[i % len(workload.queries)], workload.relation)
@@ -134,20 +151,14 @@ class TestReorganizationSchedule:
         assert recovered.queries_since_reorganization == 0
 
     def test_mismatched_candidate_statistics_raise(self, dataset, workload, tmp_path):
-        import json
-
         original = adapted_index(dataset, workload)
-        path = save_index(original, tmp_path / "tampered.npz")
+        path = save_index(original, tmp_path / "tampered")
         # Corrupt the snapshot: truncate one cluster's saved candidate
         # query counts so the shape no longer matches its signature.
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        directory = json.loads(bytes(arrays["directory"].tobytes()).decode("utf-8"))
-        victim = directory["clusters"][0]["cluster_id"]
-        key = f"candidate_queries_{victim}"
-        arrays[key] = arrays[key][:-1]
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+        (manifest_path,) = path.glob("manifest-*.json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["clusters"][0]["candidate_queries"].pop()
+        manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="candidate query counts"):
             load_index(path)
 
@@ -155,14 +166,12 @@ class TestReorganizationSchedule:
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_index(tmp_path / "does-not-exist.npz")
+            Database.open(tmp_path / "does-not-exist")
 
     def test_bad_format_version(self, dataset, workload, tmp_path, monkeypatch):
-        import repro.core.persistence as persistence
-
         original = adapted_index(dataset, workload)
-        monkeypatch.setattr(persistence, "SNAPSHOT_FORMAT_VERSION", 999)
-        path = save_index(original, tmp_path / "versioned.npz")
-        monkeypatch.setattr(persistence, "SNAPSHOT_FORMAT_VERSION", 1)
+        monkeypatch.setattr(pagefile, "MANIFEST_FORMAT_VERSION", 999)
+        path = save_index(original, tmp_path / "versioned")
+        monkeypatch.setattr(pagefile, "MANIFEST_FORMAT_VERSION", 1)
         with pytest.raises(ValueError):
             load_index(path)

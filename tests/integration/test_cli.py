@@ -248,7 +248,7 @@ class TestExecution:
             (object_id, HyperRectangle([0.08 * (object_id % 8), 0.1], [0.7, 0.8]))
             for object_id in range(40)
         )
-        source = database.save_paged(tmp_path / "store")
+        source = database.save(tmp_path / "store")
         exit_code = main(["repair", str(source), str(tmp_path / "fixed")])
         assert exit_code == 0
         printed = capsys.readouterr().out
@@ -266,7 +266,7 @@ class TestExecution:
             (object_id, HyperRectangle([0.05 * (object_id % 9), 0.2], [0.6, 0.9]))
             for object_id in range(30)
         )
-        source = database.save_paged(tmp_path / "store")
+        source = database.save(tmp_path / "store")
         exit_code = main(
             ["repair", str(source), str(tmp_path / "fixed"), "--format", "json"]
         )

@@ -10,6 +10,9 @@ live pages fall below the threshold, generation pruning, and superblock
 rollback of uncommitted generations (``resync``).
 """
 
+import pickle
+import shutil
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,33 @@ class TestPagedStore:
         assert all(not cluster.is_materialized for cluster in lazy_clusters)
         # A query materializes what it explores — and only then.
         assert sweep(lazy) == sweep(index)
+
+    def test_lazy_index_pickles_like_the_eager_one(self, tmp_path):
+        """Pickling (and so a process-shard state file) materializes first."""
+        index = build_clustered_index()
+        PagedStore.create(tmp_path / "store", page_size=512).commit(index)
+        eager = PagedStore.open(tmp_path / "store").load_index()
+        lazy = PagedStore.open(tmp_path / "store").load_index(lazy=True)
+
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert copy.n_clusters == eager.n_clusters
+        for cluster in eager.clusters():
+            twin = copy.get_cluster(cluster.cluster_id)
+            np.testing.assert_array_equal(twin.store.ids, cluster.store.ids)
+            np.testing.assert_array_equal(twin.store.lows, cluster.store.lows)
+            np.testing.assert_array_equal(twin.store.highs, cluster.store.highs)
+            np.testing.assert_array_equal(
+                twin.candidates.object_counts, cluster.candidates.object_counts
+            )
+        copy.check_invariants()
+        query = HyperRectangle(np.full(DIMENSIONS, 0.2), np.full(DIMENSIONS, 0.5))
+        for relation in SpatialRelation:
+            assert np.array_equal(
+                copy.execute(query, relation).ids, eager.execute(query, relation).ids
+            )
+        # The copy never reads the page file again.
+        shutil.rmtree(tmp_path / "store")
+        assert sweep(copy) == sweep(eager)
 
     def test_incremental_commit_skips_clean_clusters(self, tmp_path):
         index = build_clustered_index()

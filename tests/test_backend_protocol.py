@@ -15,8 +15,9 @@ member backends — runs through every case as well, and
 byte-identical ascending identifiers and exactly-summed work counters
 versus the unsharded single-backend run, through churn (delete +
 reinsert) and mid-batch reorganization.  ``DurableBackend`` wrappers
-(WAL-logged plain and sharded stores) run through every case too — the
-durability layer must be invisible to the protocol surface — as do
+(WAL-logged plain and sharded stores, fresh and recovered from their paged
+checkpoint) run through every case too — the durability layer must be
+invisible to the protocol surface — as do
 ``ReplicatedBackend`` primaries streaming semi-sync to a live in-process
 follower, pinning that replication never leaks into query results or
 counters either.  ``proc:sharded:*`` variants run the same matrix with
@@ -81,12 +82,12 @@ REPLICATED_VARIANTS = (
     "replicated:sharded:hash:ac+ac",
 )
 
-#: Paged-checkpoint conformance variants: the WAL wrapper committing into
-#: per-shard page stores instead of directory snapshots must be just as
-#: protocol-invisible as the full-checkpoint one.
-PAGED_VARIANTS = (
-    "paged:ac",
-    "paged:sharded:spatial:ac+ac",
+#: Recovered conformance variants: a durable store closed and reopened by
+#: ``DurableBackend.recover``, so every case runs against clusters served
+#: lazily from the paged checkpoint rather than built in memory.
+RECOVERED_VARIANTS = (
+    "recovered:ac",
+    "recovered:sharded:spatial:ac+ac",
 )
 
 #: Process-executor conformance variants: each shard hosted in a worker
@@ -102,7 +103,7 @@ ALL_BACKEND_NAMES = (
     + SHARDED_VARIANTS
     + DURABLE_VARIANTS
     + REPLICATED_VARIANTS
-    + PAGED_VARIANTS
+    + RECOVERED_VARIANTS
     + PROC_VARIANTS
 )
 
@@ -140,12 +141,13 @@ def make_backend(name, dimensions=DIMENSIONS):
         inner = make_backend(name.split(":", 1)[1], dimensions)
         wal_dir = Path(_DURABLE_SCRATCH.name) / f"store-{next(_DURABLE_COUNTER)}"
         return DurableBackend.create(inner, wal_dir)
-    if name.startswith("paged:"):
+    if name.startswith("recovered:"):
         from repro.api import DurableBackend
 
         inner = make_backend(name.split(":", 1)[1], dimensions)
-        wal_dir = Path(_DURABLE_SCRATCH.name) / f"paged-{next(_DURABLE_COUNTER)}"
-        return DurableBackend.create(inner, wal_dir, checkpoint_mode="paged")
+        wal_dir = Path(_DURABLE_SCRATCH.name) / f"recovered-{next(_DURABLE_COUNTER)}"
+        DurableBackend.create(inner, wal_dir).close()
+        return DurableBackend.recover(wal_dir)
     if name.startswith(("sharded:", "proc:sharded:")):
         router, methods = parse_sharded_name(name)
         execution = "process" if name.startswith("proc:") else "thread"
@@ -187,7 +189,7 @@ class TestProtocolSurface:
         assert isinstance(backend, SpatialBackend)
 
     def test_capabilities_identity(self, backend, backend_name):
-        if backend_name.startswith(("durable:", "paged:", "replicated:")):
+        if backend_name.startswith(("durable:", "recovered:", "replicated:")):
             # The durability wrapper adds no capabilities of its own: it
             # exposes the wrapped backend's descriptor untouched.
             assert backend.capabilities is backend.inner.capabilities

@@ -23,8 +23,6 @@ class TestExports:
             "HyperRectangle",
             "SpatialRelation",
             "CostParameters",
-            "save_index",
-            "load_index",
             "generate_uniform_dataset",
             "generate_query_workload",
             "ExperimentHarness",

@@ -83,6 +83,16 @@ class TestReaders:
             read(head, codec, eof=False)
 
 
+class TestSenderCeiling:
+    def test_oversize_payload_is_refused_before_framing(self, monkeypatch):
+        monkeypatch.setattr(wire, "_MAX_FRAME_BYTES", 64)
+        assert wire.unseal(wire.seal(b"x" * 64), _SERVING) == b"x" * 64
+        with pytest.raises(wire.FrameTooLarge, match="exceeds the 64-byte frame limit"):
+            wire.seal(b"x" * 65)
+        with pytest.raises(wire.FrameTooLarge):
+            wire.encode_message({"kind": "frames"}, [b"y" * 64])
+
+
 class TestUnseal:
     def test_round_trip_and_strict_length(self):
         assert wire.unseal(wire.seal(b"payload"), _SERVING) == b"payload"
