@@ -8,12 +8,15 @@ objects, 1% selectivity):
   counters are exactly the element-wise sum of what the shards report when
   run independently;
 * **throughput** — at the benchmark's default scale (20k objects) and on
-  multi-core hardware, a 2-shard scatter-gather ``execute_batch`` over a
-  thread pool beats the single unsharded index by at least 1.5x: the
-  shards are independent indexes whose NumPy verification kernels release
-  the GIL, so they genuinely overlap.  Steady-state total work is
-  conserved by partitioning, so a single-core host cannot express the
-  parallel win — there the gate asserts scatter-gather overhead stays
+  multi-core hardware, the faster of two 2-shard scatter-gather
+  ``execute_batch`` rows must beat the single unsharded index by at least
+  1.5x: serial in-process shards, and ``execution="process"`` shards (one
+  worker per shard, spawned before the timer, all reading one
+  shared-memory query table).  On a 2-core host three runs read
+  unsharded 0.26–0.31 s, serial 0.29–0.31 s (0.89–1.08x) and process
+  0.24–0.42 s (0.75–1.27x), so the gate is red there.  Steady-state total
+  work is conserved by partitioning, so a single-core host cannot express
+  the parallel win — there the gate asserts scatter-gather overhead stays
   bounded (>= 0.9x) instead, and the report records the core count.  At
   reduced smoke scale (``REPRO_BENCH_SCALE``) databases are too small for
   stable ratios and only equivalence plus a coarse overhead bound are
@@ -82,10 +85,26 @@ def best_of(runs, build, queries, relation):
     times, results = [], None
     for _ in range(runs):
         backend = build()
-        start = time.perf_counter()
-        results = backend.execute_batch(queries, relation)
-        times.append(time.perf_counter() - start)
+        try:
+            start = time.perf_counter()
+            results = backend.execute_batch(queries, relation)
+            times.append(time.perf_counter() - start)
+        finally:
+            if isinstance(backend, ShardedDatabase):
+                backend.close()
     return min(times), results
+
+
+def process_copy(sharded):
+    """A process-mode copy of *sharded* with every worker already running."""
+    database = ShardedDatabase(
+        [copy.deepcopy(shard) for shard in sharded.shards],
+        router=sharded.router,
+        execution="process",
+    )
+    # A read-only request per shard spawns its worker outside the timer.
+    assert database.n_groups == sharded.n_groups
+    return database
 
 
 def test_scatter_gather_speedup_and_equivalence(
@@ -98,24 +117,17 @@ def test_scatter_gather_speedup_and_equivalence(
     serial_time, serial_results = best_of(
         3, lambda: copy.deepcopy(sharded), queries, relation
     )
-    threaded_time, threaded_results = best_of(
-        3,
-        lambda: ShardedDatabase(
-            [copy.deepcopy(shard) for shard in sharded.shards],
-            router=sharded.router,
-            max_workers=SHARDS,
-        ),
-        queries,
-        relation,
+    process_time, process_results = best_of(
+        3, lambda: process_copy(sharded), queries, relation
     )
 
     # Invisibility: merged ascending ids match the unsharded index, with
-    # identical `results` counters; serial and threaded scatter agree.
-    for merged, single, threaded in zip(serial_results, unsharded_results, threaded_results):
+    # identical `results` counters; serial and process scatter agree.
+    for merged, single, process in zip(serial_results, unsharded_results, process_results):
         assert merged.ids.tobytes() == np.sort(single.ids).tobytes()
         assert merged.execution.results == single.execution.results
-        assert threaded.ids.tobytes() == merged.ids.tobytes()
-        assert threaded.execution.core_counters() == merged.execution.core_counters()
+        assert process.ids.tobytes() == merged.ids.tobytes()
+        assert process.execution.core_counters() == merged.execution.core_counters()
 
     # Accounting: merged counters are exactly the sum of what the shards
     # report when the same workload runs on them independently.
@@ -127,7 +139,7 @@ def test_scatter_gather_speedup_and_equivalence(
             summed = summed.merge(shard_results[row].execution)
         assert merged.execution.core_counters() == summed.core_counters()
 
-    best_sharded = min(serial_time, threaded_time)
+    best_sharded = min(serial_time, process_time)
     speedup = unsharded_time / best_sharded
     report = "\n".join(
         [
@@ -137,8 +149,8 @@ def test_scatter_gather_speedup_and_equivalence(
             f"unsharded        : {unsharded_time:8.3f} s",
             f"sharded (serial) : {serial_time:8.3f} s "
             f"({unsharded_time / serial_time:.2f}x)",
-            f"sharded (threads): {threaded_time:8.3f} s "
-            f"({unsharded_time / threaded_time:.2f}x)",
+            f"sharded (process): {process_time:8.3f} s "
+            f"({unsharded_time / process_time:.2f}x)",
             f"speedup          : {speedup:8.2f}x (gate: {SPEEDUP_FLOOR:.2f}x)",
         ]
     )

@@ -1,14 +1,15 @@
 """Frozen database configuration: one validated description of a deployment.
 
 ``Database.create`` / ``Database.from_dataset`` grew one keyword at a time
-— method, shards, router, max_workers, durability, and now replication —
+— method, shards, router, execution, durability, and now replication —
 and every caller (CLI, benchmarks, tests) re-spelled the same kwarg sprawl
 with the same implicit validity rules.  :class:`DatabaseConfig` lifts that
 surface into a single frozen dataclass validated in one place:
 
 * what backend(s) to build (``method``, ``dimensions``, ``cost``,
   ``backend_config``),
-* how to shard them (``shards``, ``router``, ``max_workers``),
+* how to shard them (``shards``, ``router``) and where the shards run
+  (``execution``: serially in-process, or one worker process per shard),
 * whether mutations are write-ahead logged (``durable``, ``wal_dir``,
   ``fsync``),
 * and whether the WAL streams to followers
@@ -163,7 +164,7 @@ class DatabaseConfig:
 
     * ``method`` is one registry name, or a sequence of per-shard names
       (which implies sharding, like passing ``shards=``);
-    * ``router`` / ``max_workers`` apply to sharded databases only;
+    * ``router`` applies to sharded databases only;
     * ``execution="process"`` (worker-process shards) requires sharding;
     * ``durable=True`` requires a ``wal_dir`` to log into;
     * ``replication`` requires a ``wal_dir`` (it ships the WAL) and —
@@ -176,7 +177,6 @@ class DatabaseConfig:
     dimensions: int = 2
     shards: Optional[int] = None
     router: "ShardRouter | str" = "hash"
-    max_workers: Optional[int] = None
     execution: str = "thread"
     cost: "Optional[CostParameters]" = None
     backend_config: Optional[object] = None
@@ -201,13 +201,11 @@ class DatabaseConfig:
             raise ValueError("a sharded database needs at least one shard")
         if self.wal_dir is not None:
             object.__setattr__(self, "wal_dir", Path(self.wal_dir))
-        if not self.sharded and (self.router != "hash" or self.max_workers is not None):
+        if not self.sharded and self.router != "hash":
             raise ValueError(
-                "router and max_workers apply to sharded databases only; "
+                "router applies to sharded databases only; "
                 "pass shards=N (or a sequence of method names)"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if self.execution not in ("thread", "process"):
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; expected "

@@ -106,7 +106,6 @@ class Database:
                 router=config.router,
                 cost=config.cost,
                 config=config.backend_config,
-                max_workers=config.max_workers,
                 execution=config.execution,
             )
             if dataset is not None:
@@ -153,7 +152,6 @@ class Database:
         config: Optional[object] = None,
         shards: Optional[int] = None,
         router: "ShardRouter | str" = "hash",
-        max_workers: Optional[int] = None,
         execution: str = "thread",
         durable: bool = False,
         wal_dir: "str | Path | None" = None,
@@ -186,7 +184,6 @@ class Database:
                 dimensions=dimensions,
                 shards=shards,
                 router=router,
-                max_workers=max_workers,
                 execution=execution,
                 cost=cost,
                 backend_config=config,
@@ -205,7 +202,6 @@ class Database:
         config: Optional[object] = None,
         shards: Optional[int] = None,
         router: "ShardRouter | str" = "hash",
-        max_workers: Optional[int] = None,
         execution: str = "thread",
         durable: bool = False,
         wal_dir: "str | Path | None" = None,
@@ -232,7 +228,6 @@ class Database:
                 dimensions=dataset.dimensions,
                 shards=shards if shards is not None and shards > 1 else None,
                 router=router,
-                max_workers=max_workers,
                 execution=execution,
                 cost=cost,
                 backend_config=config,

@@ -1,14 +1,15 @@
 """Process-backed shard execution for :class:`~repro.api.sharding.ShardedDatabase`.
 
-The threaded scatter-gather in ``sharding.py`` is GIL-bound: every shard
-query runs Python bytecode, so threads only overlap the NumPy kernels.
-This module hosts each shard in its own **worker process** instead and
-ships query batches to all workers at once through
-``multiprocessing.shared_memory`` — the parent encodes the batch as one
-``(m, 2d)`` float64 table (row = ``lows ‖ highs``), every worker attaches
-the same segment without copying it over a pipe, and replies are gathered
-in shard order so the merged output stays scheduling-independent and
-byte-identical to the serial path.
+The in-process scatter in ``sharding.py`` queries the shards one after
+another.  This module hosts each shard in its own **worker process**
+instead and ships every read to all workers at once through
+``multiprocessing.shared_memory``: the parent encodes the query batch (a
+single query is a one-row batch) as one ``(m, 2d)`` float64 table (row =
+``lows ‖ highs``), every worker attaches the same segment without copying
+it over a pipe, and replies are gathered in shard order so the merged
+output stays scheduling-independent and byte-identical to the serial
+path.  Workers start with ``fork`` where the platform has it, else
+``spawn``.
 
 Worker state model
 ------------------
@@ -87,9 +88,6 @@ __all__ = [
     "WorkerCrashError",
 ]
 
-#: Environment override for the worker start method ("fork", "spawn", ...).
-START_METHOD_ENV = "REPRO_PROCESS_START_METHOD"
-
 #: Fold the restart log into a fresh baseline once it reaches this size.
 _COMPACT_THRESHOLD = 64
 
@@ -161,8 +159,6 @@ def _apply_operation(backend: SpatialBackend, op: str, args: Tuple[Any, ...]) ->
     :class:`Capabilities`, so unsupported operations raise inside the
     backend exactly as they would in thread mode.
     """
-    if op == "execute":
-        return backend.execute(args[0], args[1])
     if op == "execute_batch":
         return backend.execute_batch(list(args[0]), args[1])
     if op == "insert":
@@ -260,12 +256,9 @@ def _shard_worker_main(
             connection.send(("ok", None))
             continue
         try:
-            if op in ("execute_shm", "execute_batch_shm"):
+            if op == "execute_batch_shm":
                 queries, relation = _attach_queries(args)
-                if op == "execute_shm":
-                    result = _apply_operation(backend, "execute", (queries[0], relation))
-                else:
-                    result = _apply_operation(backend, "execute_batch", (queries, relation))
+                result = _apply_operation(backend, "execute_batch", (queries, relation))
             elif op == "checkpoint":
                 result = _write_state(args[0], backend)
             else:
@@ -314,18 +307,10 @@ class ProcessShardExecutor:
     crash model.
     """
 
-    def __init__(
-        self,
-        backends: Sequence[SpatialBackend],
-        *,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, backends: Sequence[SpatialBackend]) -> None:
         if not backends:
             raise ValueError("at least one shard backend is required")
-        method = start_method or os.environ.get(START_METHOD_ENV)
-        if not method:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._context: BaseContext = multiprocessing.get_context(method)
         self._dimensions = int(backends[0].dimensions)
         self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
@@ -348,11 +333,6 @@ class ProcessShardExecutor:
     def proxies(self) -> List[SpatialBackend]:
         """One :class:`ProcessShardProxy` per shard, in shard order."""
         return [proxy for proxy in self._proxies]
-
-    @property
-    def start_method(self) -> str:
-        """The multiprocessing start method workers use."""
-        return self._context.get_start_method()
 
     def worker_pid(self, index: int) -> Optional[int]:
         """PID of shard *index*'s live worker (``None`` when not running)."""
@@ -429,19 +409,77 @@ class ProcessShardExecutor:
             self._log(index, (op, args))
         return result
 
-    def execute_all(
-        self, query: HyperRectangle, relation: "SpatialRelation | str"
-    ) -> List[QueryResult]:
-        """Run one query on every shard worker; results in shard order."""
-        rows = self._fan_out([query], relation, batch=False)
-        return [row for row in rows]
-
     def execute_batch_all(
         self, queries: Sequence[HyperRectangle], relation: "SpatialRelation | str"
     ) -> List[List[QueryResult]]:
-        """Run a query batch on every shard worker; results in shard order."""
-        rows = self._fan_out(list(queries), relation, batch=True)
-        return [row for row in rows]
+        """Run a query batch on every shard worker; results in shard order.
+
+        *queries* travel to every worker at once through one shared-memory
+        table.  If any shard fails, every worker is marked stale and
+        nothing is logged, so the failed request leaves no trace on any
+        shard.
+        """
+        self._require_open()
+        queries = list(queries)
+        dimensions = self._dimensions
+        for query in queries:
+            if query.dimensions != dimensions:
+                raise ValueError(
+                    f"query has {query.dimensions} dimensions, "
+                    f"the shards have {dimensions}"
+                )
+        op = "execute_batch_shm"
+        indices = range(len(self._slots))
+        for index in indices:
+            self._ensure_worker(index, op)
+        count = len(queries)
+        results: List[Any] = [None] * len(self._slots)
+        errors: List[Tuple[int, Exception]] = []
+        segment = shared_memory.SharedMemory(
+            create=True, size=max(16, count * 2 * dimensions * 8)
+        )
+        try:
+            if count:
+                table = np.ndarray(
+                    (count, 2 * dimensions), dtype=np.float64, buffer=segment.buf
+                )
+                for row, query in enumerate(queries):
+                    table[row, :dimensions] = query.lows
+                    table[row, dimensions:] = query.highs
+            args = (segment.name, count, dimensions, relation)
+            sent: List[int] = []
+            for index in indices:
+                connection = self._slots[index].connection
+                if connection is None:  # pragma: no cover - ensured above
+                    errors.append((index, self._crash(index, op, "no connection")))
+                    continue
+                try:
+                    connection.send((op, args))
+                except (OSError, ValueError) as error:
+                    errors.append(
+                        (index, self._crash(index, op, f"request could not be sent: {error}"))
+                    )
+                    continue
+                sent.append(index)
+            for index in sent:
+                try:
+                    results[index] = self._receive(index, op)
+                except Exception as error:
+                    errors.append((index, error))
+        finally:
+            segment.close()
+            with contextlib.suppress(OSError):
+                # repro-lint: disable=RL001 -- SharedMemory.unlink releases the shm segment, not a durable file; no FaultyFS coverage applies
+                segment.unlink()
+        if errors:
+            for index in indices:
+                self._slots[index].stale = True
+            errors.sort(key=lambda pair: pair[0])
+            raise errors[0][1]
+        entry: _OpEntry = ("execute_batch", (tuple(queries), relation))
+        for index in indices:
+            self._log(index, entry)
+        return results
 
     # -- internals ------------------------------------------------------
     def _require_open(self) -> None:
@@ -559,85 +597,6 @@ class ProcessShardExecutor:
             # valid, and a dead worker restarts from them on the next request.
             with contextlib.suppress(WorkerCrashError, OSError):
                 self._fold(index)
-
-    def _fan_out(
-        self,
-        queries: Sequence[HyperRectangle],
-        relation: "SpatialRelation | str",
-        *,
-        batch: bool,
-    ) -> List[Any]:
-        """Ship *queries* to every worker through one shared-memory table.
-
-        Replies are gathered in shard order.  If any shard fails, every
-        worker is marked stale and nothing is logged, so the failed
-        request leaves no trace on any shard.
-        """
-        self._require_open()
-        dimensions = self._dimensions
-        for query in queries:
-            if query.dimensions != dimensions:
-                raise ValueError(
-                    f"query has {query.dimensions} dimensions, "
-                    f"the shards have {dimensions}"
-                )
-        op = "execute_batch_shm" if batch else "execute_shm"
-        indices = range(len(self._slots))
-        for index in indices:
-            self._ensure_worker(index, op)
-        count = len(queries)
-        results: List[Any] = [None] * len(self._slots)
-        errors: List[Tuple[int, Exception]] = []
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(16, count * 2 * dimensions * 8)
-        )
-        try:
-            if count:
-                table = np.ndarray(
-                    (count, 2 * dimensions), dtype=np.float64, buffer=segment.buf
-                )
-                for row, query in enumerate(queries):
-                    table[row, :dimensions] = query.lows
-                    table[row, dimensions:] = query.highs
-            args = (segment.name, count, dimensions, relation)
-            sent: List[int] = []
-            for index in indices:
-                connection = self._slots[index].connection
-                if connection is None:  # pragma: no cover - ensured above
-                    errors.append((index, self._crash(index, op, "no connection")))
-                    continue
-                try:
-                    connection.send((op, args))
-                except (OSError, ValueError) as error:
-                    errors.append(
-                        (index, self._crash(index, op, f"request could not be sent: {error}"))
-                    )
-                    continue
-                sent.append(index)
-            for index in sent:
-                try:
-                    results[index] = self._receive(index, op)
-                except Exception as error:
-                    errors.append((index, error))
-        finally:
-            segment.close()
-            with contextlib.suppress(OSError):
-                # repro-lint: disable=RL001 -- SharedMemory.unlink releases the shm segment, not a durable file; no FaultyFS coverage applies
-                segment.unlink()
-        if errors:
-            for index in indices:
-                self._slots[index].stale = True
-            errors.sort(key=lambda pair: pair[0])
-            raise errors[0][1]
-        log_op = "execute_batch" if batch else "execute"
-        log_args: Tuple[Any, ...]
-        if batch:
-            log_args = (tuple(queries), relation)
-        else:
-            log_args = (queries[0], relation)
-        for index in indices:
-            self._log(index, (log_op, log_args))
-        return results
 
     def _shutdown_worker(self, slot: _WorkerSlot, *, graceful: bool) -> None:
         """Stop one worker: sentinel + join, escalating to terminate."""
@@ -767,10 +726,7 @@ class ProcessShardProxy:
         query: HyperRectangle,
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> QueryResult:
-        result: QueryResult = self._executor.request(
-            self._index, "execute", (query, relation), log=True
-        )
-        return result
+        return self.execute_batch([query], relation)[0]
 
     def execute_batch(
         self,

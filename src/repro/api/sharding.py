@@ -14,10 +14,11 @@ without noticing:
   :class:`SpatialShardRouter` stripes the domain into equal-width grid
   slices and routes by box centroid, keeping spatially close objects on the
   same shard.
-* **scatter-gather** — ``execute`` / ``execute_batch`` send each query (or
-  the whole workload) to *every* shard, run the shards serially or on a
-  thread pool (the NumPy verification kernels release the GIL), and merge
-  the per-shard :class:`~repro.api.protocol.QueryResult`\\ s into one result
+* **scatter-gather** — ``execute_batch`` sends the whole workload to
+  *every* shard (``execute`` is its one-query case), runs the shards
+  serially in-process or, with ``execution="process"``, in worker
+  processes that all read one shared-memory query table, and merges the
+  per-shard :class:`~repro.api.protocol.QueryResult`\\ s into one result
   per query: identifiers in canonical ascending order, work counters summed
   element-wise.  Sharding is invisible: the merged identifier sets are
   byte-identical to an unsharded backend holding the same objects, and the
@@ -37,7 +38,6 @@ import heapq
 import json
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -51,7 +51,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 import numpy as np
@@ -85,7 +84,6 @@ SHARD_MANIFEST_VERSION = 2
 #: the tuning advisor's what-if replay (:meth:`ShardedDatabase.recent_queries`).
 RECENT_QUERY_WINDOW = 256
 
-_T = TypeVar("_T")
 _MASK64 = (1 << 64) - 1
 
 
@@ -353,14 +351,10 @@ class ShardedDatabase(BackendBase):
     router:
         A :class:`ShardRouter` (whose shard count must match) or a manifest
         tag ("hash", "spatial").
-    max_workers:
-        When given (> 1) and there is more than one shard, ``execute`` /
-        ``execute_batch`` scatter over a thread pool of at most this many
-        workers; ``None`` (default) runs the shards serially.  Results are
-        identical either way — gathering is deterministic.
     execution:
-        ``"thread"`` (default) keeps the shards in-process.  ``"process"``
-        hosts each shard in its own worker process behind a
+        ``"thread"`` (default) keeps the shards in-process and queries
+        them one after another.  ``"process"`` hosts each shard in its own
+        worker process behind a
         :class:`~repro.api.executor.ProcessShardExecutor`: queries fan out
         to every worker at once through a shared-memory table, and results
         are still gathered in shard order, so merged output is
@@ -374,7 +368,6 @@ class ShardedDatabase(BackendBase):
         shards: Sequence[SpatialBackend],
         router: "ShardRouter | str" = "hash",
         *,
-        max_workers: Optional[int] = None,
         execution: str = "thread",
     ) -> None:
         shard_list = list(shards)
@@ -393,8 +386,6 @@ class ShardedDatabase(BackendBase):
                     f"shard {position} has {shard.dimensions} dimensions, "
                     f"shard 0 has {dimensions}"
                 )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if execution not in ("thread", "process"):
             raise ValueError(
                 f"unknown execution mode {execution!r}; use 'thread' or 'process'"
@@ -407,10 +398,6 @@ class ShardedDatabase(BackendBase):
         self._shards: List[SpatialBackend] = shard_list
         self._dimensions = int(dimensions)
         self._router = create_router(router, len(shard_list))
-        self._max_workers = max_workers
-        #: Lazily created, then reused across scatters (thread start-up on
-        #: every query would rival small per-shard workloads).
-        self._executor: Optional[ThreadPoolExecutor] = None
         #: Per-shard read delegates (replication read routing); empty by
         #: default, so plain sharded databases behave exactly as before.
         self._read_delegates: Dict[int, Callable[[], Optional[SpatialBackend]]] = {}
@@ -435,7 +422,6 @@ class ShardedDatabase(BackendBase):
         router: "ShardRouter | str" = "hash",
         cost: Optional[object] = None,
         config: Optional[object] = None,
-        max_workers: Optional[int] = None,
         execution: str = "thread",
     ) -> "ShardedDatabase":
         """Create empty shards through the backend registry.
@@ -458,14 +444,13 @@ class ShardedDatabase(BackendBase):
             create_backend(name, dimensions, cost=cost, config=config)  # type: ignore[arg-type]
             for name in names
         ]
-        return cls(backends, router=router, max_workers=max_workers, execution=execution)
+        return cls(backends, router=router, execution=execution)
 
     @classmethod
     def open(
         cls,
         path: "str | Path",
         *,
-        max_workers: Optional[int] = None,
         execution: str = "thread",
     ) -> "ShardedDatabase":
         """Recover a sharded database from a directory written by :meth:`save`.
@@ -540,7 +525,7 @@ class ShardedDatabase(BackendBase):
         if not isinstance(router_data, dict):
             raise ValueError(f"corrupt shard manifest {manifest_path}: no router entry")
         router = router_from_manifest(router_data, len(shards))
-        return cls(shards, router=router, max_workers=max_workers, execution=execution)
+        return cls(shards, router=router, execution=execution)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -569,11 +554,6 @@ class ShardedDatabase(BackendBase):
     def router(self) -> ShardRouter:
         """The router assigning objects to shards."""
         return self._router
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        """Thread-pool width of the scatter phase (``None`` = serial)."""
-        return self._max_workers
 
     @property
     def dimensions(self) -> int:
@@ -835,60 +815,36 @@ class ShardedDatabase(BackendBase):
         self._read_delegates.clear()
 
     def _read_targets(self) -> List[SpatialBackend]:
-        """The per-position backends queries scatter to (delegates applied)."""
-        if not self._read_delegates:
-            return self._shards
-        targets = list(self._shards)
+        """The per-position backends queries scatter to (delegates applied).
+
+        The local shard list itself comes back unless some provider
+        substitutes a delegate, so process mode keeps its shared-memory
+        fan-out while every replica lags.
+        """
+        targets = self._shards
         for position, provider in self._read_delegates.items():
             delegate = provider()
             if delegate is not None:
+                if targets is self._shards:
+                    targets = list(self._shards)
                 targets[position] = delegate
         return targets
 
-    def _scatter(
-        self,
-        operation: Callable[[SpatialBackend], _T],
-        targets: Optional[Sequence[SpatialBackend]] = None,
-    ) -> List[_T]:
-        """Run *operation* on every shard, serially or on the thread pool.
-
-        The pool is created once (bounded by ``max_workers`` and the shard
-        count) and reused across scatters; gather order is always shard
-        order, so merging is deterministic regardless of scheduling.
-        Reads pass their (possibly delegate-substituted) *targets*;
-        mutations scatter over the local shards.
-        """
-        if targets is None:
-            targets = self._shards
-        if self._max_workers is not None and self._max_workers > 1 and len(self._shards) > 1:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(self._max_workers, len(self._shards)),
-                    thread_name_prefix="repro-shard",
-                )
-            return list(self._executor.map(operation, targets))
-        return [operation(shard) for shard in targets]
-
     def close(self) -> None:
-        """Release execution resources: the scatter thread pool and, in
-        process mode, every shard worker process (joined).  Idempotent."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Release execution resources: in process mode, every shard
+        worker process (joined).  Idempotent."""
         if self._process_executor is not None:
             self._process_executor.close()
 
     def __deepcopy__(self, memo: Dict[int, object]) -> "ShardedDatabase":
-        """Deep-copy the shards and router; the thread pool is not copyable
-        (and must not be shared), so the copy starts with a fresh one.  In
-        process mode each shard proxy materializes to a plain in-process
-        backend, so the copy always runs in thread mode."""
+        """Deep-copy the shards and router.  In process mode each shard
+        proxy materializes to a plain in-process backend, so the copy
+        always runs in thread mode."""
         import copy as _copy
 
         return ShardedDatabase(
             [_copy.deepcopy(shard, memo) for shard in self._shards],
             router=_copy.deepcopy(self._router, memo),
-            max_workers=self._max_workers,
         )
 
     @staticmethod
@@ -917,25 +873,8 @@ class ShardedDatabase(BackendBase):
         query: HyperRectangle,
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> QueryResult:
-        """Scatter one query to every shard and gather the merged result."""
-        parsed = SpatialRelation.parse(relation)
-        if query.dimensions != self._dimensions:
-            raise ValueError(
-                f"query has {query.dimensions} dimensions, database expects "
-                f"{self._dimensions}"
-            )
-        targets = self._read_targets()
-        if self._process_executor is not None and targets is self._shards:
-            # Shared-memory fan-out: one request to every worker at once.
-            per_shard = self._process_executor.execute_all(query, parsed)
-        else:
-            per_shard = self._scatter(lambda shard: shard.execute(query, parsed), targets)
-        for position, result in enumerate(per_shard):
-            self._accounts[position] = self._accounts[position].with_queries(
-                1, result.execution
-            )
-        self._recent_queries.append(query)
-        return self._merge(per_shard)
+        """Scatter one query to every shard: the one-query :meth:`execute_batch`."""
+        return self.execute_batch([query], relation)[0]
 
     def execute_batch(
         self,
@@ -955,11 +894,10 @@ class ShardedDatabase(BackendBase):
             return []
         targets = self._read_targets()
         if self._process_executor is not None and targets is self._shards:
+            # Shared-memory fan-out: one request to every worker at once.
             per_shard = self._process_executor.execute_batch_all(query_list, parsed)
         else:
-            per_shard = self._scatter(
-                lambda shard: shard.execute_batch(query_list, parsed), targets
-            )
+            per_shard = [shard.execute_batch(query_list, parsed) for shard in targets]
         for position, results in enumerate(per_shard):
             # An explicit length check: ``zip(*per_shard)`` below would
             # silently truncate the gather to the shortest shard row,

@@ -169,7 +169,7 @@ def _add_execution_argument(parser: argparse.ArgumentParser) -> None:
         "--execution",
         choices=["thread", "process"],
         default=None,
-        help="shard execution mode: in-process threads or one worker "
+        help="shard execution mode: serial in-process shards or one worker "
         "process per shard (default: thread; process requires --shards)",
     )
 

@@ -186,7 +186,6 @@ def async_serving_bench(
     max_delay_ms: float = 0.0,
     shards: int = 1,
     router: str = "hash",
-    max_workers: Optional[int] = None,
     range_fraction: float = 0.0,
     warmup_events: int = 200,
     seed: int = 0,
@@ -233,21 +232,8 @@ def async_serving_bench(
         raise ValueError("clients must be positive")
     if shards <= 0:
         raise ValueError("shards must be positive")
-    if shards == 1 and (router != "hash" or max_workers is not None):
-        raise ValueError(
-            "router and max_workers apply to sharded serving only; pass shards >= 2"
-        )
     if warmup_events < 0:
         raise ValueError("warmup_events must be non-negative")
-    if execution not in ("thread", "process"):
-        raise ValueError(
-            f"unknown execution mode {execution!r}; use 'thread' or 'process'"
-        )
-    if execution == "process" and shards < 2:
-        raise ValueError(
-            "execution='process' hosts each shard in a worker process; "
-            "pass shards >= 2"
-        )
     if transport not in ("local", "tcp"):
         raise ValueError(f"unknown transport {transport!r}; use 'local' or 'tcp'")
     scenario = StorageScenario.parse(scenario)
@@ -296,7 +282,6 @@ def async_serving_bench(
             cost=cost,
             shards=shards if shards > 1 else None,
             router=router,
-            max_workers=max_workers,
             execution=execution,
         )
         if durable and not database.capabilities.supports_persistence:

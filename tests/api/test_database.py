@@ -158,9 +158,6 @@ class TestDatabaseConfig:
     def test_router_and_workers_apply_to_sharded_only(self):
         with pytest.raises(ValueError, match="sharded databases only"):
             DatabaseConfig(router="round-robin")
-        with pytest.raises(ValueError, match="sharded databases only"):
-            DatabaseConfig(max_workers=4)
-        assert DatabaseConfig(shards=2, max_workers=4).max_workers == 4
 
     def test_logging_needs_a_wal_dir(self):
         with pytest.raises(ValueError, match="requires a wal_dir"):

@@ -12,6 +12,7 @@ worker-side folds into new state-file generations.
 """
 
 import gc
+import multiprocessing
 import os
 import signal
 import time
@@ -23,7 +24,7 @@ import pytest
 
 from repro.api import ShardedDatabase, SpatialBackend, WorkerCrashError, create_backend
 from repro.api import executor as executor_module
-from repro.api.executor import START_METHOD_ENV, ProcessShardExecutor
+from repro.api.executor import ProcessShardExecutor
 from repro.geometry.box import HyperRectangle
 
 DIMENSIONS = 3
@@ -84,7 +85,7 @@ def run_step(database, step):
 
 
 #: Fan-out request script: five single queries and one batch, so the kill
-#: enumeration covers both shared-memory operations.
+#: enumeration covers one-row and multi-row shared-memory fan-outs.
 def make_script():
     queries = make_boxes(5, seed=2)
     steps = [("query", query) for query in queries]
@@ -194,7 +195,8 @@ class TestKillEnumeration:
         SIGKILLs its own process; later checkpoints (restarted workers
         included) write normally.
         """
-        monkeypatch.setenv(START_METHOD_ENV, "fork")  # workers inherit the patch
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit the patched _write_state only when forked")
         parent = os.getpid()
         crashed = tmp_path / "crashed"
         write_state = executor_module._write_state
@@ -372,6 +374,35 @@ class TestLifecycle:
                 clone.close()
             # The original keeps serving through its workers.
             assert database.execute(everything).ids.size == database.n_objects
+        finally:
+            database.close()
+            oracle.close()
+
+    def test_declining_read_delegates_keep_the_shared_memory_fan_out(self, monkeypatch):
+        """Read delegates that all decline (a lagging replica) leave reads
+        on one shared-memory fan-out, not one pipe request per shard."""
+        database, oracle = make_pair()
+        fan_outs, requests = [], []
+        fan_out = ProcessShardExecutor.execute_batch_all
+        request = ProcessShardExecutor.request
+
+        def counting_fan_out(self, queries, relation):
+            fan_outs.append(len(queries))
+            return fan_out(self, queries, relation)
+
+        def counting_request(self, index, op, args, **kwargs):
+            requests.append(op)
+            return request(self, index, op, args, **kwargs)
+
+        monkeypatch.setattr(ProcessShardExecutor, "execute_batch_all", counting_fan_out)
+        monkeypatch.setattr(ProcessShardExecutor, "request", counting_request)
+        try:
+            for position in range(N_SHARDS):
+                database.set_read_delegate(position, lambda: None)
+            batch = ("batch", make_boxes(3, seed=12))
+            assert run_step(database, batch) == run_step(oracle, batch)
+            assert fan_outs == [3]
+            assert requests == []
         finally:
             database.close()
             oracle.close()

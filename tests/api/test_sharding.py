@@ -119,10 +119,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedDatabase([])
 
-    def test_rejects_bad_max_workers(self):
-        with pytest.raises(ValueError):
-            ShardedDatabase([create_backend("ss", DIMENSIONS)], max_workers=0)
-
     def test_database_facade_create_with_shards(self):
         database = Database.create("ac", DIMENSIONS, shards=2, router="spatial")
         assert isinstance(database.backend, ShardedDatabase)
@@ -131,11 +127,9 @@ class TestConstruction:
         assert mixed.backend.n_shards == 2
 
     def test_facade_rejects_sharding_options_without_shards(self):
-        # Silently discarding router/max_workers would mislabel the result.
+        # Silently discarding the router would mislabel the result.
         with pytest.raises(ValueError, match="sharded databases only"):
             Database.create("ac", DIMENSIONS, router="spatial")
-        with pytest.raises(ValueError, match="sharded databases only"):
-            Database.create("ac", DIMENSIONS, max_workers=4)
 
     def test_facade_from_dataset_with_shards(self):
         from repro.workloads.uniform import generate_uniform_dataset
@@ -211,32 +205,66 @@ class TestRoutedLifecycle:
 
 
 class TestScatterGather:
-    def test_parallel_scatter_equals_serial(self, sharded):
-        import copy
+    @pytest.mark.parametrize("relation", ["intersects", "contains", "contained_by"])
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_execute_equals_one_query_batch(self, execution, relation):
+        """``execute(q)`` answers and accounts exactly like ``execute_batch([q])[0]``.
 
-        queries = [make_box(np.random.default_rng(5)) for _ in range(15)]
-        serial = copy.deepcopy(sharded)
-        threaded = ShardedDatabase(
-            [copy.deepcopy(shard) for shard in sharded.shards],
-            router=sharded.router,
-            max_workers=4,
+        Ids, core counters, per-shard workload accounts, the recent-query
+        ring, the adaptive shard's storage traffic and its reorganizations
+        all agree, over mixed shards whose adaptive member reorganizes
+        several times during the run.
+        """
+        from repro.core.config import AdaptiveClusteringConfig
+        from repro.core.cost_model import CostParameters
+
+        config = AdaptiveClusteringConfig(
+            cost=CostParameters.disk_defaults(DIMENSIONS), reorganization_period=10
         )
-        assert threaded.max_workers == 4
-        for one, two in zip(
-            serial.execute_batch(queries), threaded.execute_batch(queries)
-        ):
-            assert np.array_equal(one.ids, two.ids)
-            assert one.execution.core_counters() == two.execution.core_counters()
-        # The pool is reused across scatters, survives deep copies (each
-        # copy gets its own) and shuts down cleanly.
-        clone = copy.deepcopy(threaded)
-        assert np.array_equal(
-            clone.execute(HyperRectangle.unit(DIMENSIONS)).ids,
-            threaded.execute(HyperRectangle.unit(DIMENSIONS)).ids,
-        )
-        threaded.close()
-        clone.close()
-        clone.close()  # idempotent
+
+        def build():
+            backends = [
+                create_backend(method, DIMENSIONS, config=config if method == "ac" else None)
+                for method in ("ac", "ss", "rs")
+            ]
+            database = ShardedDatabase(backends, router="spatial", execution=execution)
+            database.bulk_load(make_pairs(150, seed=21))
+            return database
+
+        def storage_stats(database):
+            return [
+                shard.storage.stats
+                for shard in database.shards
+                if shard.capabilities.supports_persistence
+            ]
+
+        looped, batched = build(), build()
+        try:
+            rng = np.random.default_rng(22)
+            queries = [make_box(rng, extent=0.4) for _ in range(35)]
+            for query in queries:
+                one = looped.execute(query, relation)
+                row = batched.execute_batch([query], relation)[0]
+                assert one.ids.tobytes() == row.ids.tobytes()
+                assert one.execution.core_counters() == row.execution.core_counters()
+            for mine, theirs in zip(looped.workload_accounts(), batched.workload_accounts()):
+                assert (mine.queries, mine.inserts, mine.deletes) == (
+                    theirs.queries,
+                    theirs.inserts,
+                    theirs.deletes,
+                )
+                assert mine.execution.core_counters() == theirs.execution.core_counters()
+            assert looped.recent_queries() == batched.recent_queries() == tuple(queries)
+            assert storage_stats(looped) == storage_stats(batched)
+            assert storage_stats(looped)[0].cluster_reads > 0
+            assert looped.shards[0].reorganization_count >= 3
+            assert (
+                looped.shards[0].reorganization_count
+                == batched.shards[0].reorganization_count
+            )
+        finally:
+            looped.close()
+            batched.close()
 
     def test_merged_ids_are_ascending(self, sharded):
         result = sharded.execute(HyperRectangle.unit(DIMENSIONS))
