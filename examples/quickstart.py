@@ -194,9 +194,10 @@ def main() -> None:
     # Async serving: many concurrent callers, one batch engine.
     # ------------------------------------------------------------------
     # AsyncDatabase micro-batches concurrent query/publish/subscribe
-    # requests across callers into single execute_batch / matcher flushes
-    # per tick; each caller awaits exactly the result a sequential
-    # execution would produce.
+    # requests across callers: within a tick, each run of queries is one
+    # execute_batch and each run of publishes one matcher `match` call.
+    # Each caller awaits exactly the result a sequential execution would
+    # produce.
     import asyncio
 
     from repro import AsyncDatabase

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.config import AutoTuneOptions, DatabaseConfig
     from repro.api.sharding import ShardedDatabase, ShardRouter
     from repro.core.cost_model import CostParameters
-    from repro.engine.matcher import MatchRecord, StreamingConfig, StreamingMatcher
+    from repro.engine.matcher import StreamingConfig, StreamingMatcher
     from repro.storage import StorageBackend
     from repro.tuning.advisor import TuningRecommendation
     from repro.workloads.datasets import Dataset
@@ -613,18 +613,19 @@ class Database:
         config: "Optional[StreamingConfig]" = None,
         *,
         clock: Callable[[], float] = time.perf_counter,
-        on_match: "Optional[Callable[[MatchRecord], None]]" = None,
     ) -> "StreamingMatcher":
         """Attach a :class:`~repro.engine.StreamingMatcher` serving session.
 
         The session shares the database's backend: subscriptions
         registered through it are visible to direct queries and vice
         versa.  Any number of sessions can be attached; they all serve the
-        same subscription set.
+        same subscription set.  Drive it with ``publish`` / ``flush`` (a
+        micro-batching buffer) or match a batch of events at once with
+        ``match``; both return the delivered records.
         """
         from repro.engine.matcher import StreamingMatcher
 
-        return StreamingMatcher(self._backend, config=config, clock=clock, on_match=on_match)
+        return StreamingMatcher(self._backend, config=config, clock=clock)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -16,11 +16,16 @@ shape back into batches:
 * the tick is processed on a worker thread (the NumPy verification kernels
   release the GIL, so the event loop keeps accepting requests): runs of
   adjacent queries sharing a relation collapse into one ``execute_batch``
-  call, and pub/sub requests drive an attached
-  :class:`~repro.engine.matcher.StreamingMatcher` session;
-* requests are processed strictly in arrival order, so every caller
+  call, each run of adjacent publishes is one
+  :meth:`~repro.engine.matcher.StreamingMatcher.match` call on the attached
+  session, and subscribes / unsubscribes are applied one at a time;
+* requests reach the backend strictly in arrival order — a publish is
+  matched before any later request of its tick runs — so every caller
   observes exactly the result a sequential execution of the same request
-  sequence would produce (``tests/api/test_serving.py`` pins this).
+  sequence would produce (``tests/api/test_serving.py`` pins this);
+* a failing request fails its own future and nothing else: a malformed
+  publish fails alone, a failing ``match`` fails the publishes of its run,
+  and the tick carries on.
 
 The front-end is backend-agnostic: wrap a :class:`~repro.api.database.Database`
 over any protocol-satisfying backend, including a
@@ -31,6 +36,7 @@ scatter-gather execution, one awaitable per request.
 from __future__ import annotations
 
 import asyncio
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,9 +69,11 @@ class ServingConfig:
         Default spatial relation of ``query`` requests (overridable per
         call).
     matcher:
-        Configuration of the attached pub/sub session.  Defaults to a
-        matcher that never flushes on its own (the front-end controls
-        flushing per tick); its ``relation`` governs event matching.
+        Configuration of the attached pub/sub session.  Only its
+        ``cache_size`` and ``relation`` apply to served publishes (the
+        front-end hands each run of publishes to the session's ``match``,
+        so its batching triggers never fire).  Defaults to
+        ``StreamingConfig(relation=CONTAINS)``.
     """
 
     max_batch_size: int = 256
@@ -85,7 +93,7 @@ class ServingConfig:
 class ServingStats:
     """Aggregate statistics of one front-end's lifetime."""
 
-    #: Requests completed, by kind.
+    #: Requests completed, by kind (failed ones included).
     queries: int = 0
     publishes: int = 0
     subscribes: int = 0
@@ -162,15 +170,9 @@ class AsyncDatabase:
             database = Database(database)
         self._database = database
         self._config = config or ServingConfig()
-        matcher_config = self._config.matcher or StreamingConfig(
-            # The front-end flushes once per tick; disable the matcher's own
-            # size trigger so one tick delivers exactly one backend flush.
-            max_batch_size=1_000_000_000,
-            relation=SpatialRelation.CONTAINS,
+        self._matcher = database.session(
+            self._config.matcher or StreamingConfig(relation=SpatialRelation.CONTAINS)
         )
-        self._matcher = database.session(matcher_config, on_match=self._deliver_match)
-        #: Futures of in-flight publishes, resolved in delivery order.
-        self._match_futures: "List[asyncio.Future[object]]" = []
         #: Non-None only while a group-committed tick is processing: the
         #: resolutions held back until the tick's WAL fsync (see
         #: _process_tick / _resolve).
@@ -412,10 +414,11 @@ class AsyncDatabase:
         """Process one drained micro-batch, in arrival order, on a thread.
 
         Runs of adjacent queries sharing a relation collapse into one
-        ``execute_batch``; pub/sub requests drive the attached matcher,
-        whose churn-flush discipline keeps event/churn ordering exact.  A
-        failing request resolves its own future with the exception and the
-        tick carries on — one bad request cannot stall its neighbours.
+        ``execute_batch``, runs of adjacent publishes into one matcher
+        ``match``, and churn is applied request by request, so every request
+        reaches the backend in arrival order.  A failing request resolves
+        its own future with the exception and the tick carries on — one bad
+        request cannot stall its neighbours.
 
         Over a durable backend the whole tick runs inside one
         ``group_commit`` block: the tick's subscription churn is
@@ -456,33 +459,15 @@ class AsyncDatabase:
             self._process_requests(batch)
 
     def _process_requests(self, batch: List[_Request]) -> None:
-        position = 0
-        while position < len(batch):
-            kind = batch[position][0]
+        for (kind, relation), run in itertools.groupby(batch, key=_run_key):
             if kind == "query":
-                stop = position
-                relation = batch[position][1][1]  # type: ignore[index]
-                while (
-                    stop < len(batch)
-                    and batch[stop][0] == "query"
-                    and batch[stop][1][1] is relation  # type: ignore[index]
-                ):
-                    stop += 1
-                self._run_query_run(batch[position:stop], relation)
-                position = stop
+                assert relation is not None
+                self._run_query_run(list(run), relation)
+            elif kind == "publish":
+                self._run_publish_run(list(run))
             else:
-                self._run_pubsub(batch[position])
-                position += 1
-        # Deliver the tick's pending events: the matcher's on_match callback
-        # resolves the publish futures in delivery order.
-        try:
-            self._matcher.flush()
-        except Exception as error:
-            # The matcher re-queued the batch for retry; these callers get
-            # the error instead, so the re-queued events must be discarded
-            # to keep later records aligned with later futures.
-            self._matcher.discard_pending()
-            self._fail_pending_publishes(error)
+                for request in run:
+                    self._run_churn(request)
 
     def _run_query_run(self, run: List[_Request], relation: SpatialRelation) -> None:
         boxes = [request[1][0] for request in run]  # type: ignore[index]
@@ -507,60 +492,51 @@ class AsyncDatabase:
                 self._resolve(request[2], result=outcome)
         self._stats.queries += len(run)
 
-    def _run_pubsub(self, request: _Request) -> None:
+    def _run_publish_run(self, run: List[_Request]) -> None:
+        """Match a run of adjacent publishes with one ``match`` call.
+
+        A malformed event fails alone and leaves the run whole; a failing
+        ``match`` fails every publish it carried.
+        """
+        self._stats.publishes += len(run)
+        events: List[Tuple[int, HyperRectangle]] = []
+        futures: "List[asyncio.Future[object]]" = []
+        for _, payload, future in run:
+            event_id, box = payload  # type: ignore[misc]
+            try:
+                self._matcher.validate_box(box)
+            except Exception as error:
+                self._resolve(future, error=error)
+            else:
+                events.append((event_id, box))
+                futures.append(future)
+        if not events:
+            return
+        try:
+            records = self._matcher.match(events)
+        except Exception as error:
+            for future in futures:
+                self._resolve(future, error=error)
+        else:
+            for future, record in zip(futures, records):
+                self._resolve(future, result=record)
+
+    def _run_churn(self, request: _Request) -> None:
         kind, payload, future = request
         try:
-            if kind == "publish":
-                event_id, box = payload  # type: ignore[misc]
-                self._match_futures.append(future)
-                pending_before = self._matcher.pending_events
-                try:
-                    self._matcher.publish(event_id, box)
-                except Exception as error:
-                    if self._matcher.pending_events > pending_before:
-                        # The event was enqueued and a flush it triggered
-                        # failed: the matcher re-queued the whole buffer,
-                        # so every in-flight publish (this one included)
-                        # gets the error and the re-queued events are
-                        # discarded — otherwise later deliveries would
-                        # pair with the wrong futures.
-                        self._matcher.discard_pending()
-                        self._fail_pending_publishes(error)
-                        return
-                    # Rejected before enqueueing (validation): only this
-                    # request fails.
-                    self._match_futures.remove(future)
-                    raise
-                self._stats.publishes += 1
-                return  # resolved later by _deliver_match
             if kind == "subscribe":
+                self._stats.subscribes += 1
                 subscription_id, box = payload  # type: ignore[misc]
                 self._matcher.register(subscription_id, box)
-                self._stats.subscribes += 1
             elif kind == "unsubscribe":
-                self._matcher.unregister(int(payload))  # type: ignore[arg-type]
                 self._stats.unsubscribes += 1
+                self._matcher.unregister(int(payload))  # type: ignore[arg-type]
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown request kind: {kind!r}")
         except Exception as error:
             self._resolve(future, error=error)
         else:
             self._resolve(future, result=None)
-
-    def _deliver_match(self, record: MatchRecord) -> None:
-        """Matcher ``on_match`` hook: resolve the oldest publish future.
-
-        The matcher delivers records in publish order (the pending buffer
-        is a FIFO and churn flushes preserve it), so pairing records with
-        futures positionally is exact.
-        """
-        if self._match_futures:
-            self._resolve(self._match_futures.pop(0), result=record)
-
-    def _fail_pending_publishes(self, error: BaseException) -> None:
-        pending, self._match_futures = self._match_futures, []
-        for future in pending:
-            self._resolve(future, error=error)
 
     def _resolve(
         self,
@@ -594,6 +570,14 @@ class AsyncDatabase:
             f"AsyncDatabase(requests={self._stats.requests}, "
             f"ticks={self._stats.ticks}, started={self.started})"
         )
+
+
+def _run_key(request: _Request) -> Tuple[str, Optional[SpatialRelation]]:
+    """Group key of a tick's runs: queries by relation, publishes together."""
+    kind, payload, _ = request
+    if kind == "query":
+        return kind, payload[1]  # type: ignore[index]
+    return kind, None
 
 
 def _set_future_result(future: "asyncio.Future[object]", result: object) -> None:

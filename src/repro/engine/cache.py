@@ -93,6 +93,10 @@ class LRUResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: object) -> bool:
+        """True when *key* is cached; unlike :meth:`get`, counts nothing."""
+        return key in self._entries
+
     def get(self, key: bytes) -> Optional[np.ndarray]:
         """Return the cached match set for *key*, or ``None`` on a miss."""
         entry = self._entries.get(key)

@@ -6,9 +6,14 @@ attributes — matched against a continuous stream of incoming events.  The
 :class:`StreamingMatcher` turns the vectorised ``query_batch`` engine into
 that serving loop:
 
-* incoming events are **micro-batched**: they accumulate in a pending
-  buffer and are flushed through one ``execute_batch`` call when the
-  buffer reaches ``max_batch_size`` or the oldest pending event exceeds
+* :meth:`StreamingMatcher.match` matches a batch of events synchronously:
+  cache hits and in-batch duplicates are resolved first, the remaining
+  events go through one ``execute_batch`` call, and the records come back
+  in input order.  A front-end that batches requests itself (the asyncio
+  serving layer) calls it once per run of publishes;
+* standalone sessions **micro-batch** through ``publish``: events
+  accumulate in a pending buffer that is handed to ``match`` when it
+  reaches ``max_batch_size`` or the oldest pending event exceeds
   ``max_delay_ms``;
 * **subscription churn** (``register`` / ``unregister``) maps to the
   index's ``insert`` / ``delete``.  A churn operation first flushes the
@@ -131,7 +136,10 @@ class MatchRecord:
     #: cached result is byte-identical to a recomputed one even after the
     #: backend reorganized in between.
     matches: np.ndarray
-    #: Submit-to-delivery latency in milliseconds (includes queueing).
+    #: Submit-to-delivery latency in milliseconds.  For an event published
+    #: into the pending buffer it includes the queueing; for a direct
+    #: :meth:`StreamingMatcher.match` call (the served path) it is the
+    #: duration of that call.
     latency_ms: float
     #: True when the match set was served from the result cache.
     cached: bool
@@ -143,8 +151,9 @@ class StreamStats:
 
     #: Events delivered so far.
     events: int = 0
-    #: Micro-batches flushed, by trigger (the four trigger counters sum to
-    #: ``batches``; a flush of an empty buffer delivers nothing and is not
+    #: Micro-batches matched, by trigger (the four trigger counters sum to
+    #: ``batches``; a direct :meth:`StreamingMatcher.match` call counts as a
+    #: manual flush, and an empty batch delivers nothing and is not
     #: counted).
     batches: int = 0
     size_flushes: int = 0
@@ -239,7 +248,6 @@ class StreamingMatcher:
         backend: SpatialBackend,
         config: Optional[StreamingConfig] = None,
         clock: Callable[[], float] = time.perf_counter,
-        on_match: Optional[Callable[[MatchRecord], None]] = None,
     ) -> None:
         """Wrap *backend* in a streaming serving loop.
 
@@ -254,9 +262,6 @@ class StreamingMatcher:
             :class:`StreamingConfig`'s defaults.
         clock:
             Monotonic time source in seconds (injectable for tests).
-        on_match:
-            Optional callback invoked with every delivered
-            :class:`MatchRecord`, in delivery order.
         """
         if not isinstance(backend, SpatialBackend):
             raise TypeError(
@@ -266,7 +271,6 @@ class StreamingMatcher:
         self._backend = backend
         self._config = config or StreamingConfig()
         self._clock = clock
-        self._on_match = on_match
         self._cache = LRUResultCache(self._config.cache_size)
         #: Pending events as ``(event_id, box, submit_time)`` tuples.
         self._pending: List[Tuple[int, HyperRectangle, float]] = []
@@ -435,7 +439,7 @@ class StreamingMatcher:
         flush time, so one malformed event can never poison a whole
         pending batch.
         """
-        self._validate_box(box)
+        self.validate_box(box)
         now = self._clock()
         self._pending.append((int(event_id), box, now))
         if len(self._pending) >= self._config.max_batch_size:
@@ -458,19 +462,23 @@ class StreamingMatcher:
         """Deliver every pending event now, regardless of batch size."""
         return self._flush("manual")
 
-    def discard_pending(self) -> int:
-        """Drop every pending event without delivering it; returns the count.
+    def match(self, events: Iterable[Tuple[int, HyperRectangle]]) -> List[MatchRecord]:
+        """Match ``(event_id, box)`` pairs now, bypassing the pending buffer.
 
-        A failing :meth:`flush` re-queues its batch so no event is silently
-        lost on a transient backend error.  A front-end that instead
-        *reports* the failure to its callers (the asyncio serving layer
-        fails the affected publish futures) must then discard the
-        re-queued events, or the next flush would deliver records for
-        events whose callers already saw an error — misaligning every
-        later delivery.
+        Every box is validated before the cache or the backend is touched.
+        Cache hits and in-batch duplicates are resolved first; the
+        remaining events go through one ``execute_batch`` call whose
+        results fill the cache.  Returns one record per event, in input
+        order, each matched against the subscription set active now.  The
+        call counts as one manual flush.  If the backend call fails, the
+        error propagates and the cache and the statistics are left as they
+        were.
         """
-        discarded, self._pending = len(self._pending), []
-        return discarded
+        now = self._clock()
+        rows = [(int(event_id), box, now) for event_id, box in events]
+        for _, box, _ in rows:
+            self.validate_box(box)
+        return self._match(rows, "manual")
 
     def run(self, operations: Iterable[StreamOperation]) -> List[MatchRecord]:
         """Drive the matcher from a stream of operations and drain it.
@@ -503,7 +511,8 @@ class StreamingMatcher:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _validate_box(self, box: HyperRectangle) -> None:
+    def validate_box(self, box: HyperRectangle) -> None:
+        """Raise :class:`ValueError` unless *box* has the backend's dimensionality."""
         dimensions = self._backend.dimensions
         if box.dimensions != dimensions:
             raise ValueError(
@@ -519,7 +528,7 @@ class StreamingMatcher:
         from consuming the pending buffer (whose delivered records the
         raised exception would discard from the caller's return path).
         """
-        self._validate_box(box)
+        self.validate_box(box)
         if subscription_id in self._backend:
             raise KeyError(f"subscription {subscription_id} is already registered")
 
@@ -536,68 +545,66 @@ class StreamingMatcher:
         return (now - oldest) * 1000.0 >= self._config.max_delay_ms
 
     def _flush(self, reason: str) -> List[MatchRecord]:
-        if not self._pending:
-            return []
         pending, self._pending = self._pending, []
+        try:
+            return self._match(pending, reason)
+        except Exception:
+            # A failing backend call must not silently drop events: put the
+            # batch back ahead of anything published meanwhile.
+            self._pending = pending + self._pending
+            raise
+
+    def _match(
+        self, events: List[Tuple[int, HyperRectangle, float]], reason: str
+    ) -> List[MatchRecord]:
+        """Match ``(event_id, box, submit_time)`` rows; see :meth:`match`."""
+        if not events:
+            return []
         start = self._clock()
         relation = self._config.relation
 
-        # Resolve each pending event against the cache, deduplicating
-        # identical boxes within the batch: the first occurrence of a
-        # missing key queries the backend, later ones share its result.
-        # Dedup and cache lookup counts are committed to the statistics
-        # only after the backend call succeeds — a requeued batch is
-        # re-resolved on retry and must not be counted twice.
-        cache_hits_before = self._cache.hits
-        cache_misses_before = self._cache.misses
-        deduplicated = 0
-        matches: List[Optional[np.ndarray]] = [None] * len(pending)
-        cached_rows: List[bool] = [False] * len(pending)
-        miss_keys: List[bytes] = []
-        miss_boxes: List[HyperRectangle] = []
+        # Resolve each event against the cache, deduplicating identical
+        # boxes within the batch: the first occurrence of a missing key
+        # queries the backend, later ones share its result.  Nothing here
+        # touches the cache or the statistics, so a failing backend call
+        # leaves both as they were.
+        keys = [result_cache_key(box, relation) for _, box, _ in events]
+        hit_rows: List[int] = []
         miss_rows: Dict[bytes, List[int]] = {}
-        for row, (_, box, _) in enumerate(pending):
-            key = result_cache_key(box, relation)
+        deduplicated = 0
+        for row, key in enumerate(keys):
             rows = miss_rows.get(key)
             if rows is not None:
                 rows.append(row)
                 deduplicated += 1
-                continue
-            entry = self._cache.get(key)
-            if entry is not None:
-                matches[row] = entry
-                cached_rows[row] = True
+            elif key in self._cache:
+                hit_rows.append(row)
             else:
                 miss_rows[key] = [row]
-                miss_keys.append(key)
-                miss_boxes.append(box)
+        miss_boxes = [events[rows[0]][1] for rows in miss_rows.values()]
+        query_results = self._backend.execute_batch(miss_boxes, relation) if miss_boxes else []
 
-        if miss_boxes:
-            try:
-                query_results = self._backend.execute_batch(miss_boxes, relation)
-            except Exception:
-                # Re-queue the batch ahead of anything published meanwhile
-                # (a failing backend call must not silently drop events)
-                # and roll the lookup counters back — the retry repeats the
-                # cache resolution.
-                self._pending = pending + self._pending
-                self._cache.hits = cache_hits_before
-                self._cache.misses = cache_misses_before
-                raise
-            for key, box, result in zip(miss_keys, miss_boxes, query_results):
-                ids = result.ids
-                ids.sort()  # canonical delivery order (see MatchRecord)
-                self._cache.put(key, box, ids)
-                self._stats.total_execution = self._stats.total_execution.merge(result.execution)
-                rows = miss_rows[key]
-                matches[rows[0]] = ids
-                for duplicate in rows[1:]:
-                    matches[duplicate] = ids.copy()
+        matches: List[Optional[np.ndarray]] = [None] * len(events)
+        cached_rows = [False] * len(events)
+        for row in hit_rows:
+            matches[row] = self._cache.get(keys[row])
+            cached_rows[row] = True
+        for key, box, result in zip(miss_rows, miss_boxes, query_results):
+            # The lookup counts the miss; the entry is filled below.
+            self._cache.get(key)
+            ids = result.ids
+            ids.sort()  # canonical delivery order (see MatchRecord)
+            self._cache.put(key, box, ids)
+            self._stats.total_execution = self._stats.total_execution.merge(result.execution)
+            rows = miss_rows[key]
+            matches[rows[0]] = ids
+            for duplicate in rows[1:]:
+                matches[duplicate] = ids.copy()
         self._stats.deduplicated += deduplicated
 
         now = self._clock()
         records: List[MatchRecord] = []
-        for (event_id, _, submitted), found, was_cached in zip(pending, matches, cached_rows):
+        for (event_id, _, submitted), found, was_cached in zip(events, matches, cached_rows):
             # Every row was resolved above: from the cache, by the backend
             # call, or by sharing a duplicate's result.
             assert found is not None
@@ -617,10 +624,6 @@ class StreamingMatcher:
         self._stats.latencies_ms.extend(record.latency_ms for record in records)
         self._sync_cache_stats()
         self._stats.busy_seconds += now - start
-
-        if self._on_match is not None:
-            for record in records:
-                self._on_match(record)
         return records
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -14,9 +14,12 @@ from repro.api import (
     ShardedDatabase,
     serve_requests,
 )
+from repro.core.config import AdaptiveClusteringConfig
+from repro.core.cost_model import CostParameters
 from repro.engine import StreamingConfig
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
+from repro.workloads.pubsub import apartment_ads_scenario
 
 DIMENSIONS = 4
 
@@ -29,6 +32,59 @@ def make_box(rng, extent=0.25):
 def make_pairs(count, seed=0):
     rng = np.random.default_rng(seed)
     return [(object_id, make_box(rng)) for object_id in range(count)]
+
+
+class RecordingBackend:
+    """Delegating backend that records its calls and can fail once.
+
+    ``calls`` holds every ``execute_batch``, ``insert`` and ``delete`` in
+    the order the backend received them; ``fail_relation`` arms one
+    ``execute_batch`` failure for the next call with that relation.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.fail_relation = None
+        self.calls = []
+
+    def execute_batch(self, queries, relation):
+        if relation is self.fail_relation:
+            self.fail_relation = None
+            raise RuntimeError("transient backend failure")
+        self.calls.append(("execute_batch", list(queries), relation))
+        return self._inner.execute_batch(queries, relation)
+
+    def insert(self, object_id, box):
+        self.calls.append(("insert", object_id, box))
+        return self._inner.insert(object_id, box)
+
+    def delete(self, object_id):
+        self.calls.append(("delete", object_id, None))
+        return self._inner.delete(object_id)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __contains__(self, object_id):
+        return object_id in self._inner
+
+    def __len__(self):
+        return len(self._inner)
+
+
+def replay(backend, calls):
+    """Re-run recorded backend calls one by one; the sorted ids of each
+    query, in call order."""
+    matches = []
+    for name, argument, extra in calls:
+        if name == "insert":
+            backend.insert(argument, extra)
+        elif name == "delete":
+            backend.delete(argument)
+        else:
+            for query in argument:
+                matches.append(np.sort(backend.execute(query, extra).ids))
+    return matches
 
 
 @pytest.fixture
@@ -280,6 +336,85 @@ class TestPubSub:
         assert record.event_id == 3
         assert 61_000 in record.matches
 
+    def test_fault_fails_only_its_request(self, database):
+        """One tick of query, publish, subscribe, publish, unsubscribe,
+        query over a backend that fails the first publish run: only that
+        publish fails, and the churn behind it is applied."""
+        flaky = RecordingBackend(database.backend)
+        subscription = HyperRectangle(np.zeros(DIMENSIONS), np.full(DIMENSIONS, 0.5))
+        inside = HyperRectangle.from_point(np.full(DIMENSIONS, 0.25))
+        everything = HyperRectangle.unit(DIMENSIONS)
+
+        async def main():
+            async with AsyncDatabase(flaky) as served:
+                flaky.fail_relation = SpatialRelation.CONTAINS
+                outcomes = await asyncio.gather(
+                    served.query(everything),
+                    served.publish(1, inside),
+                    served.subscribe(62_000, subscription),
+                    served.publish(2, inside),
+                    served.unsubscribe(149),
+                    served.query(everything),
+                    return_exceptions=True,
+                )
+                return outcomes, served.stats
+
+        outcomes, stats = asyncio.run(main())
+        assert stats.ticks == 1  # the six requests shared one tick
+        first_query, first, subscribed, second, unsubscribed, last_query = outcomes
+        assert isinstance(first, RuntimeError)
+        assert subscribed is None and unsubscribed is None
+        assert 62_000 in database.backend and 149 not in database.backend
+        assert second.event_id == 2 and 62_000 in second.matches
+        assert first_query.ids.size == 150
+        assert np.array_equal(np.sort(last_query.ids), np.append(np.arange(149), 62_000))
+        assert stats.requests == len(outcomes)
+        assert stats.failed == 1 <= stats.requests
+
+    def test_failed_requests_count_in_their_kind(self, database):
+        """``requests`` counts every completed request, failed ones included."""
+        flat = HyperRectangle.unit(DIMENSIONS - 1)
+
+        async def main():
+            async with AsyncDatabase(database) as served:
+                await served.subscribe(78_000, HyperRectangle.unit(DIMENSIONS))
+                outcomes = await asyncio.gather(
+                    served.subscribe(78_000, HyperRectangle.unit(DIMENSIONS)),
+                    served.publish(1, flat),
+                    served.query(flat),
+                    return_exceptions=True,
+                )
+                return outcomes, served.stats
+
+        outcomes, stats = asyncio.run(main())
+        assert isinstance(outcomes[0], KeyError)
+        assert all(isinstance(outcome, ValueError) for outcome in outcomes[1:])
+        assert (stats.subscribes, stats.publishes, stats.queries) == (2, 1, 1)
+        assert stats.requests == 4 and stats.failed == 3
+        assert stats.as_dict()["requests"] == 4
+
+    def test_malformed_publish_fails_alone_inside_its_run(self, database):
+        recorder = RecordingBackend(database.backend)
+        inside = HyperRectangle.from_point(np.full(DIMENSIONS, 0.25))
+        flat = HyperRectangle.unit(DIMENSIONS - 1)
+
+        async def main():
+            async with AsyncDatabase(recorder) as served:
+                outcomes = await asyncio.gather(
+                    served.publish(1, inside),
+                    served.publish(2, flat),
+                    served.publish(3, HyperRectangle.from_point(np.full(DIMENSIONS, 0.3))),
+                    return_exceptions=True,
+                )
+                return outcomes, served.stats.ticks
+
+        (first, bad, third), ticks = asyncio.run(main())
+        assert ticks == 1
+        assert isinstance(bad, ValueError)
+        assert (first.event_id, third.event_id) == (1, 3)
+        # The two valid events were matched by one backend call.
+        assert len(recorder.calls) == 1 and len(recorder.calls[0][1]) == 2
+
     def test_duplicate_subscription_fails_only_that_request(self, database):
         async def main():
             async with AsyncDatabase(database) as served:
@@ -292,6 +427,107 @@ class TestPubSub:
 
         result = asyncio.run(main())
         assert result.ids.size == 151  # 150 objects + the subscription
+
+
+class TestArrivalOrder:
+    @pytest.mark.parametrize("period", [2, 100])
+    def test_publish_and_query_ticks_equal_arrival_order_execution(self, period):
+        """Each tick is ``gather(publish(i), query(q_i))``: the publish must
+        reach the backend before the query, so an adaptive index that
+        reorganizes on the query stream serves every query exactly as a
+        one-by-one run in arrival order does.  Events repeat, so cache hits
+        shift where the reorganization periods end relative to the ticks."""
+        scenario = apartment_ads_scenario(seed=3)
+        config = AdaptiveClusteringConfig(
+            cost=CostParameters.memory_defaults(scenario.dimensions),
+            reorganization_period=period,
+        )
+        database = Database.from_dataset(
+            "ac", scenario.generate_subscriptions(3_000), config=config
+        )
+        offers = scenario.generate_events(120).queries
+        picks = np.random.default_rng(period).integers(0, len(offers), size=400)
+        events = [offers[pick] for pick in picks]
+        queries = scenario.generate_events(400, range_fraction=0.1).queries
+        reference = copy.deepcopy(database)
+        session = reference.session(StreamingConfig(max_batch_size=1))
+        expected = []
+        for event_id, (event, query) in enumerate(zip(events, queries)):
+            (record,) = session.publish(event_id, event)
+            expected.append((record.matches, reference.execute(query)))
+
+        async def main():
+            served_results = []
+            async with AsyncDatabase(database) as served:
+                for event_id, (event, query) in enumerate(zip(events, queries)):
+                    served_results.append(
+                        await asyncio.gather(served.publish(event_id, event), served.query(query))
+                    )
+                return served_results, served.stats
+
+        served_results, stats = asyncio.run(main())
+        assert stats.ticks == len(events)
+        for (record, result), (matches, want) in zip(served_results, expected):
+            assert record.matches.tobytes() == matches.tobytes()
+            assert np.array_equal(result.ids, want.ids)
+            assert result.execution.core_counters() == want.execution.core_counters()
+
+
+class TestPublishDuringChurn:
+    @pytest.mark.parametrize("layout", ["ac", "sharded"])
+    def test_concurrent_publishers_and_churn_equal_a_replay(self, layout):
+        """Eight clients mix publishes with subscribes and unsubscribes.
+        Every delivered match set equals a one-by-one replay of the calls
+        in the order the backend received them."""
+        if layout == "ac":
+            backend = Database.create("ac", DIMENSIONS).backend
+        else:
+            backend = ShardedDatabase.create("ac", DIMENSIONS, shards=2, router="spatial")
+        backend.bulk_load(make_pairs(150, seed=8))
+        replayed = copy.deepcopy(backend)
+        recorder = RecordingBackend(backend)
+        clients, steps = 8, 30
+
+        async def client(served, number):
+            rng = np.random.default_rng(100 + number)
+            own = []
+            records = []
+            for step in range(steps):
+                roll = rng.random()
+                if roll < 0.25:
+                    subscription_id = 10_000 * (number + 1) + step
+                    await served.subscribe(subscription_id, make_box(rng, extent=0.6))
+                    own.append(subscription_id)
+                elif roll < 0.4:
+                    victim = own.pop() if own else int(rng.integers(150))
+                    await served.unsubscribe(victim)
+                else:
+                    # Distinct boxes: every event reaches the backend once.
+                    event = make_box(rng, extent=0.0)
+                    records.append((event, await served.publish(number * steps + step, event)))
+            return records
+
+        async def main():
+            async with AsyncDatabase(recorder) as served:
+                delivered = await asyncio.gather(
+                    *(client(served, number) for number in range(clients))
+                )
+                return [pair for records in delivered for pair in records], served.stats
+
+        delivered, stats = asyncio.run(main())
+        assert stats.failed == 0
+        assert stats.average_tick_size() > 1.0
+        assert any(name == "delete" for name, _, _ in recorder.calls)
+        queried = [
+            query for name, batch, _ in recorder.calls if name == "execute_batch" for query in batch
+        ]
+        expected = {
+            query.lows.tobytes(): matches
+            for query, matches in zip(queried, replay(replayed, recorder.calls))
+        }
+        assert len(expected) == len(queried) == len(delivered)
+        for event, record in delivered:
+            assert record.matches.tobytes() == expected[event.lows.tobytes()].tobytes()
 
 
 class TestLifecycle:

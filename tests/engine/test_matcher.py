@@ -140,19 +140,6 @@ class TestBatching:
         clock.advance(0.1)
         assert [record.event_id for record in matcher.poll()] == [0]
 
-    def test_on_match_callback_sees_every_record(self, subscriptions):
-        seen = []
-        matcher = StreamingMatcher(
-            build_backend("ss", subscriptions),
-            StreamingConfig(max_batch_size=2),
-            on_match=seen.append,
-        )
-        matcher.publish(0, point(0.5, 0.5, 0.5, 0.5))
-        matcher.publish(1, point(0.6, 0.6, 0.6, 0.6))
-        matcher.publish(2, point(0.7, 0.7, 0.7, 0.7))
-        matcher.flush()
-        assert [record.event_id for record in seen] == [0, 1, 2]
-
 
 class TestChurnSemantics:
     def test_register_flushes_pending_events_first(self, subscriptions):
@@ -435,6 +422,97 @@ class TestStatistics:
         for event_id in range(4):
             matcher.publish(event_id, point(0.5, 0.5, 0.5, 0.5))
         assert matcher.stats.average_batch_size() == pytest.approx(2.0)
+
+
+class TestDirectMatch:
+    def test_records_follow_input_order(self, subscriptions):
+        backend = build_backend("ac", subscriptions)
+        reference = build_backend("ac", subscriptions)
+        matcher = StreamingMatcher(backend)
+        rng = np.random.default_rng(5)
+        events = [(event_id, point(*rng.random(DIMENSIONS))) for event_id in (9, 2, 7, 4)]
+        records = matcher.match(events)
+        assert [record.event_id for record in records] == [9, 2, 7, 4]
+        for (_, event), record in zip(events, records):
+            expected = np.sort(reference.execute(event, RELATION).ids)
+            assert record.matches.tobytes() == expected.tobytes()
+            assert not record.cached
+
+    def test_duplicates_cache_hits_and_churn_patches(self, subscriptions):
+        backend = build_backend("ss", subscriptions)
+        matcher = StreamingMatcher(backend)
+        event = point(0.5, 0.5, 0.5, 0.5)
+        other = point(0.3, 0.3, 0.3, 0.3)
+        first = matcher.match([(0, event), (1, other), (2, event)])
+        assert matcher.stats.deduplicated == 1
+        assert matcher.stats.total_execution.groups_explored == 2
+        assert first[0].matches.tobytes() == first[2].matches.tobytes()
+        everything = HyperRectangle(np.zeros(DIMENSIONS), np.ones(DIMENSIONS))
+        matcher.register(9_999, everything)
+        matcher.unregister(int(first[1].matches[0]))
+        boxes = [other, event, other]
+        second = matcher.match(list(zip([3, 4, 5], boxes)))
+        # Every event is a cache hit, patched by the churn in between.
+        assert [record.cached for record in second] == [True, True, True]
+        assert matcher.stats.cache_hits == 3
+        assert matcher.stats.total_execution.groups_explored == 2
+        for box, record in zip(boxes, second):
+            expected = np.sort(backend.execute(box, RELATION).ids)
+            assert record.matches.tobytes() == expected.tobytes()
+        assert 9_999 in second[1].matches.tolist()
+        assert int(first[1].matches[0]) not in second[0].matches.tolist()
+
+    def test_direct_match_counts_as_a_manual_flush(self, subscriptions):
+        matcher = StreamingMatcher(
+            build_backend("ss", subscriptions), StreamingConfig(max_batch_size=2)
+        )
+        matcher.publish(0, point(0.5, 0.5, 0.5, 0.5))
+        matcher.publish(1, point(0.6, 0.6, 0.6, 0.6))
+        matcher.match([(2, point(0.7, 0.7, 0.7, 0.7))])
+        assert matcher.match([]) == []
+        stats = matcher.stats
+        assert (stats.batches, stats.size_flushes, stats.manual_flushes) == (2, 1, 1)
+        assert stats.events == 3
+        assert (
+            stats.size_flushes
+            + stats.latency_flushes
+            + stats.churn_flushes
+            + stats.manual_flushes
+            == stats.batches
+        )
+
+    def test_malformed_event_rejects_the_whole_call_first(self, subscriptions):
+        backend = build_backend("ss", subscriptions)
+        matcher = StreamingMatcher(backend)
+        with pytest.raises(ValueError):
+            matcher.match([(0, point(0.5, 0.5, 0.5, 0.5)), (1, point(0.5, 0.5, 0.5))])
+        assert matcher.stats.cache_misses == 0
+        assert matcher.stats.batches == 0
+
+    def test_failing_backend_leaves_cache_and_buffer_untouched(self, subscriptions):
+        backend = build_backend("ss", subscriptions)
+        matcher = StreamingMatcher(backend, StreamingConfig(max_batch_size=100))
+        warm = point(0.5, 0.5, 0.5, 0.5)
+        matcher.match([(0, warm)])
+        matcher.publish(1, point(0.2, 0.2, 0.2, 0.2))
+        before = matcher.stats.as_dict()
+        original = backend.execute_batch
+
+        def failing(queries, relation):
+            raise RuntimeError("transient backend failure")
+
+        backend.execute_batch = failing
+        with pytest.raises(RuntimeError):
+            matcher.match([(2, warm), (3, point(0.6, 0.6, 0.6, 0.6)), (4, warm)])
+        assert matcher.stats.as_dict() == before
+        assert matcher.pending_events == 1
+        # The failed call stored nothing: the retry misses on the new box
+        # and counts each lookup once.
+        backend.execute_batch = original
+        records = matcher.match([(2, warm), (3, point(0.6, 0.6, 0.6, 0.6)), (4, warm)])
+        assert [record.cached for record in records] == [True, False, True]
+        assert (matcher.stats.cache_hits, matcher.stats.cache_misses) == (2, 2)
+        assert [record.event_id for record in matcher.flush()] == [1]
 
 
 class TestValidation:
