@@ -19,6 +19,7 @@ from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
 from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+from reference import reference_execute
 
 OBJECTS = scaled(15_000, 200_000)
 DIMENSIONS = 16
@@ -99,10 +100,15 @@ class TestPointEnclosingQueryLatency:
 # ----------------------------------------------------------------------
 FIG7_OBJECTS = scaled(20_000, 2_000_000)
 
-#: Floor asserted by the speedup gate.  The ISSUE targeted 5x; on the
-#: single-core CI hardware the measured speedup is ~3.8-4.9x (the per-query
-#: loop is itself already vectorised per cluster, so both sides share the
-#: same NumPy verification floor) — the gate asserts a noise-robust 3x and
+#: Floor asserted by the speedup gate: the batch engine against the paper's
+#: per-cluster query loop, which the index ran for one query before
+#: ``execute`` became the one-query batch and which the test suite keeps as
+#: its reference (``tests/core/reference.py``, importable as ``reference``
+#: through the ``pythonpath`` setting in ``pyproject.toml``).  That loop
+#: prunes signatures in one vectorised comparison and verifies each
+#: explored cluster's members with NumPy, so both sides share the same
+#: verification floor; it reads 3.2-4.7x here on a 2-core host at both the
+#: smoke and the default scale.  The gate asserts a noise-robust 3x and
 #: prints the measured value.
 BATCH_SPEEDUP_FLOOR = 3.0
 
@@ -134,7 +140,7 @@ def fig7_adaptive(fig7_dataset, fig7_workload):
 def run_query_loop(index, workload):
     results, executions = [], []
     for query in workload.queries:
-        result = index.execute(query, workload.relation)
+        result = reference_execute(index, query, workload.relation)
         results.append(result.ids)
         executions.append(result.execution)
     return results, executions

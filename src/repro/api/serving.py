@@ -24,8 +24,9 @@ shape back into batches:
   observes exactly the result a sequential execution of the same request
   sequence would produce (``tests/api/test_serving.py`` pins this);
 * a failing request fails its own future and nothing else: a malformed
-  publish fails alone, a failing ``match`` fails the publishes of its run,
-  and the tick carries on.
+  query or publish fails alone, a failing ``execute_batch`` or ``match``
+  fails the requests of its run (they are not retried one at a time), and
+  the tick carries on.
 
 The front-end is backend-agnostic: wrap a :class:`~repro.api.database.Database`
 over any protocol-satisfying backend, including a
@@ -38,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.api.database import Database
 from repro.api.protocol import QueryResult, SpatialBackend
@@ -140,6 +141,8 @@ class ServingStats:
 #: ``query`` → (box, relation); ``publish`` → (event_id, box);
 #: ``subscribe`` → (subscription_id, box); ``unsubscribe`` → subscription_id.
 _Request = Tuple[str, object, "asyncio.Future[object]"]
+#: The backend input of one request: a query's box, a publish's (event_id, box).
+_Item = TypeVar("_Item")
 
 #: A held-back acknowledgement of a group-committed tick: (future, result,
 #: error) — dispatched only after the tick's WAL fsync.
@@ -470,56 +473,66 @@ class AsyncDatabase:
                     self._run_churn(request)
 
     def _run_query_run(self, run: List[_Request], relation: SpatialRelation) -> None:
-        boxes = [request[1][0] for request in run]  # type: ignore[index]
-        try:
-            results = self._database.execute_batch(boxes, relation)
-        except Exception:
-            # Batched execution failed as a whole (e.g. one malformed box).
-            # Retry each query alone so only the offender fails.
-            for request in run:
-                try:
-                    result: object = self._database.execute(
-                        request[1][0],  # type: ignore[index]
-                        relation,
-                    )
-                except Exception as single_error:
-                    self._resolve(request[2], error=single_error)
-                else:
-                    self._resolve(request[2], result=result)
-        else:
-            self._stats.query_batches += 1
-            for request, outcome in zip(run, results):
-                self._resolve(request[2], result=outcome)
+        """Execute a run of adjacent same-relation queries with one ``execute_batch``."""
         self._stats.queries += len(run)
+        boxes: List[HyperRectangle] = [payload[0] for _, payload, _ in run]  # type: ignore[index]
+        futures, boxes = self._well_formed(run, boxes, boxes)
+        if boxes and self._deliver(futures, self._database.execute_batch, boxes, relation):
+            self._stats.query_batches += 1
 
     def _run_publish_run(self, run: List[_Request]) -> None:
-        """Match a run of adjacent publishes with one ``match`` call.
-
-        A malformed event fails alone and leaves the run whole; a failing
-        ``match`` fails every publish it carried.
-        """
+        """Match a run of adjacent publishes with one ``match`` call."""
         self._stats.publishes += len(run)
-        events: List[Tuple[int, HyperRectangle]] = []
+        events: List[Tuple[int, HyperRectangle]] = [payload for _, payload, _ in run]  # type: ignore[misc]
+        futures, events = self._well_formed(run, [box for _, box in events], events)
+        if events:
+            self._deliver(futures, self._matcher.match, events)
+
+    def _well_formed(
+        self, run: List[_Request], boxes: List[HyperRectangle], items: List[_Item]
+    ) -> "Tuple[List[asyncio.Future[object]], List[_Item]]":
+        """Fail every request of *run* whose box has the wrong dimensionality.
+
+        ``boxes[i]`` is the box and ``items[i]`` the backend input of
+        ``run[i]``.  Returns the futures and items of the other requests,
+        in arrival order, so a malformed request fails alone.
+        """
+        dimensions = self._database.dimensions
         futures: "List[asyncio.Future[object]]" = []
-        for _, payload, future in run:
-            event_id, box = payload  # type: ignore[misc]
-            try:
-                self._matcher.validate_box(box)
-            except Exception as error:
-                self._resolve(future, error=error)
-            else:
-                events.append((event_id, box))
+        kept: List[_Item] = []
+        for (_, _, future), box, item in zip(run, boxes, items):
+            if box.dimensions == dimensions:
                 futures.append(future)
-        if not events:
-            return
+                kept.append(item)
+            else:
+                self._resolve(
+                    future,
+                    error=ValueError(
+                        f"box has {box.dimensions} dimensions, backend expects {dimensions}"
+                    ),
+                )
+        return futures, kept
+
+    def _deliver(
+        self,
+        futures: "List[asyncio.Future[object]]",
+        call: Callable[..., Sequence[object]],
+        *args: object,
+    ) -> bool:
+        """Resolve *futures* with the outcomes of one ``call(*args)``; True on success.
+
+        If the call raises, every future fails with its error: the requests
+        are not retried one at a time, which would run the rest twice.
+        """
         try:
-            records = self._matcher.match(events)
+            outcomes = call(*args)
         except Exception as error:
             for future in futures:
                 self._resolve(future, error=error)
-        else:
-            for future, record in zip(futures, records):
-                self._resolve(future, result=record)
+            return False
+        for future, outcome in zip(futures, outcomes):
+            self._resolve(future, result=outcome)
+        return True
 
     def _run_churn(self, request: _Request) -> None:
         kind, payload, future = request

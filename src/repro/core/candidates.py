@@ -36,7 +36,6 @@ from repro.core.clustering_function import (
 )
 from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
-from repro.geometry.relations import SpatialRelation
 
 #: Object rows compared against the candidate family at once when counting
 #: matches: bounds the ``(rows, candidates)`` temporaries of
@@ -197,36 +196,9 @@ class CandidateSet:
             & (obj_highs <= self.end_high[index])
         )
 
-    def query_match_mask(self, query: HyperRectangle, relation: SpatialRelation) -> np.ndarray:
-        """Candidates whose signature is matched by *query*.
-
-        The query is assumed to match the parent signature (query execution
-        only updates candidate statistics for explored clusters), so only the
-        refined dimension of each candidate needs testing.
-        """
-        if len(self) == 0:
-            return np.zeros(0, dtype=bool)
-        q_lows = query.lows[self.dimension]
-        q_highs = query.highs[self.dimension]
-        if relation is SpatialRelation.INTERSECTS:
-            return (self.start_low <= q_highs) & (self.end_high >= q_lows)
-        if relation is SpatialRelation.CONTAINED_BY:
-            return (self.start_high >= q_lows) & (self.end_low <= q_highs)
-        if relation is SpatialRelation.CONTAINS:
-            return (self.start_low <= q_lows) & (self.end_high >= q_highs)
-        raise ValueError(f"unsupported relation: {relation!r}")
-
     # ------------------------------------------------------------------
     # Statistics maintenance
     # ------------------------------------------------------------------
-    def record_query(self, query: HyperRectangle, relation: SpatialRelation) -> None:
-        """Increment ``q(s)`` for every candidate matched by the query."""
-        if len(self) == 0:
-            return
-        mask = self.query_match_mask(query, relation)
-        # An increment commutes with the pending ones: no fold needed.
-        self._query_counts[mask] += 1
-
     def record_insertion(self, obj: HyperRectangle) -> None:
         """Increment ``n(s)`` for every candidate matched by the inserted object."""
         if len(self) == 0:

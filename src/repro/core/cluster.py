@@ -25,8 +25,6 @@ from repro.core.clustering_function import ClusteringFunction
 from repro.core.object_store import ObjectStore
 from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
-from repro.geometry.relations import SpatialRelation
-from repro.geometry.vectorized import matching_mask
 
 
 class Cluster:
@@ -201,28 +199,6 @@ class Cluster:
         ids, lows, highs = self.store.drain()
         self.candidates.subtract_object_counts(lows, highs)
         return ids, lows, highs
-
-    # ------------------------------------------------------------------
-    # Query execution
-    # ------------------------------------------------------------------
-    def matches_query(self, query: HyperRectangle, relation: SpatialRelation) -> bool:
-        """True when the cluster must be explored for this query."""
-        return self.signature.matches_query(query, relation)
-
-    def verify_members(self, query: HyperRectangle, relation: SpatialRelation) -> np.ndarray:
-        """Check every member against the selection criterion.
-
-        Returns the identifiers of the qualifying members.
-        """
-        if self.n_objects == 0:
-            return np.empty(0, dtype=np.int64)
-        mask = matching_mask(self.store.lows, self.store.highs, query, relation)
-        return self.store.ids[mask].copy()
-
-    def record_exploration(self, query: HyperRectangle, relation: SpatialRelation) -> None:
-        """Update the cluster's and its candidates' query statistics."""
-        self.statistics[0] += 1
-        self.candidates.record_query(query, relation)
 
     # ------------------------------------------------------------------
     # Hierarchy maintenance

@@ -12,15 +12,17 @@ Public interface
     probability (Fig. 4 of the paper).
 ``delete(object_id)``
     Remove an object.
-``query(box, relation)`` / ``execute(box, relation)``
-    Execute a spatial selection (Fig. 5); ``execute`` returns a
-    :class:`~repro.api.protocol.QueryResult` carrying the per-query work
-    counters used by the evaluation harness.
 ``query_batch(queries, relation)`` / ``execute_batch(...)``
-    Execute a whole workload in one vectorised pass: signatures of all
-    clusters are pruned for all queries with one broadcasted comparison
-    and member verification runs once per surviving cluster.  Results and
-    counters are identical to the per-query loop.
+    Execute spatial selections (Fig. 5) in one vectorised pass: signatures
+    of all clusters are pruned for all queries with one broadcasted
+    comparison and the members of every surviving cluster are verified
+    together.  ``execute_batch`` returns one
+    :class:`~repro.api.protocol.QueryResult` per query, carrying the work
+    counters used by the evaluation harness.
+``query(box, relation)`` / ``execute(box, relation)``
+    One selection: the one-query ``execute_batch``.  Results and counters
+    equal those of the paper's per-cluster loop, which the test suite keeps
+    as its reference (``tests/core/reference.py``).
 ``reorganize()`` / ``maybe_reorganize()``
     Run the merge / split reorganization pass (Figs. 1–3); automatically
     triggered every ``reorganization_period`` queries.
@@ -40,12 +42,13 @@ with a grid histogram before anything reads ``q(s)`` — the reorganization
 pass, ``reset_statistics``, saving, pickling or copying, invariant checks
 and any read of ``CandidateSet.query_counts``.  A full log, a change of
 relation and a change of the signature rows fold too.  Every ``q(s)`` read
-therefore equals the per-query loop's value.
+therefore equals the value of a loop that counts every query on the spot.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -75,6 +78,14 @@ from repro.storage import StorageBackend, storage_for_scenario
 #: side, so the working set of batch execution and bulk loading does not
 #: grow with the batch size or the database size.
 _PAIR_BLOCK = 131_072
+
+#: (dimension, pair) cells one step of the verification cascade tests at
+#: most, unless one dimension alone has more.  A small window tests every
+#: dimension in one step, since there the fixed cost of a step outweighs
+#: the pairs an early dimension would eliminate.  A window of more than half
+#: this many pairs tests one dimension per step, most selective first, so
+#: pairs that fail early never pay for the remaining dimensions.
+_VERIFY_BLOCK = 8_192
 
 #: Signature bounds, in the order of the stacked signature matrix.
 _SIGNATURE_BOUNDS = ("start_low", "start_high", "end_low", "end_high")
@@ -349,7 +360,7 @@ class AdaptiveClusteringIndex(BackendBase):
         grew = target.add_object(object_id, obj)
         self._object_locations[object_id] = target.cluster_id
         self._storage.on_objects_appended(target.cluster_id, 1)
-        self._invalidate_member_matrix()
+        self._sync_member_columns(target)
         del grew  # in-memory growth is tracked by the storage layout instead
 
     def bulk_load(self, objects: Iterable[Tuple[int, HyperRectangle]]) -> int:
@@ -408,7 +419,7 @@ class AdaptiveClusteringIndex(BackendBase):
                 "not stored there"
             )
         self._storage.on_objects_removed(cluster_id, 1)
-        self._invalidate_member_matrix()
+        self._sync_member_columns(cluster)
         return True
 
     def delete_bulk(self, object_ids: Iterable[int]) -> int:
@@ -416,8 +427,8 @@ class AdaptiveClusteringIndex(BackendBase):
 
         Equivalent to calling :meth:`delete` for every identifier
         (identifiers that are not indexed are ignored), but every touched
-        cluster removes its members with one vectorised mask and the
-        member matrix is invalidated once for the whole batch, so churn
+        cluster removes its members with one vectorised mask and rewrites
+        its member-matrix columns once for the whole batch, so churn
         bursts — the streaming engine's unsubscribe path — do not pay a
         per-object maintenance round-trip.  The signature and candidate
         matrices are untouched: deletion never changes cluster signatures
@@ -441,8 +452,8 @@ class AdaptiveClusteringIndex(BackendBase):
                     "mapped to it"
                 )
             self._storage.on_objects_removed(cluster_id, count)
+            self._sync_member_columns(cluster)
             removed += count
-        self._invalidate_member_matrix()
         return removed
 
     def get(self, object_id: int) -> Optional[HyperRectangle]:
@@ -590,59 +601,24 @@ class AdaptiveClusteringIndex(BackendBase):
         query: HyperRectangle,
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> QueryResult:
-        """Execute a spatial selection and return ids plus execution counters."""
-        relation = SpatialRelation.parse(relation)
-        if query.dimensions != self.dimensions:
-            raise ValueError(
-                f"query has {query.dimensions} dimensions, index expects "
-                f"{self.dimensions}"
-            )
-        start = time.perf_counter()
-        execution = QueryExecution()
-        matches: List[np.ndarray] = []
-        object_bytes = self._config.cost.object_bytes
-        disk = self._config.scenario is StorageScenario.DISK
+        """Execute one spatial selection: the one-query :meth:`execute_batch`."""
+        return self.execute_batch([query], relation)[0]
 
-        execution.signature_checks = self.n_clusters
-        for cluster in self._matching_clusters(query, relation):
-            execution.groups_explored += 1
-            execution.objects_verified += cluster.n_objects
-            execution.bytes_read += cluster.n_objects * object_bytes
-            if disk:
-                execution.random_accesses += 1
-            self._storage.on_cluster_read(cluster.cluster_id, cluster.n_objects)
-            found = cluster.verify_members(query, relation)
-            if found.size:
-                matches.append(found)
-            cluster.record_exploration(query, relation)
-
-        results = np.concatenate(matches) if matches else np.empty(0, dtype=np.int64)
-        execution.results = int(results.size)
-        execution.wall_time_ms = (time.perf_counter() - start) * 1000.0
-
-        self._total_queries += 1
-        self._queries_since_reorganization += 1
-        self.maybe_reorganize()
-        return QueryResult(ids=results, execution=execution)
-
-    # ------------------------------------------------------------------
-    # Batch query execution
-    # ------------------------------------------------------------------
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> List[QueryResult]:
-        """Batch variant of :meth:`execute`.
+        """Execute spatial selections in order; ids plus counters per query.
 
         The workload is stacked into ``(m, Nd)`` arrays, every cluster is
         pruned for every query with one broadcasted signature comparison,
-        and member verification runs once per surviving cluster for all of
-        its queries together.  Per-query :class:`QueryExecution` counters
-        are produced exactly as the per-query loop would, and the batch is
-        split at reorganization boundaries so automatic reorganizations
-        fire after the same query they would fire after in a loop —
-        results are identical to executing the queries one at a time.
+        and member verification runs over the (query, member) pairs of all
+        surviving clusters together.  The batch is split at reorganization
+        boundaries, so automatic reorganizations fire after the same query
+        they would fire after if the queries ran one call at a time: ids,
+        their order, the :class:`QueryExecution` counters and the index
+        statistics do not depend on how a workload is cut into batches.
 
         Memory stays bounded whatever the batch and database sizes: a
         chunk holds at most ``_PAIR_BLOCK`` (query, cluster) prune-mask
@@ -665,12 +641,11 @@ class AdaptiveClusteringIndex(BackendBase):
                     f"{self.dimensions}"
                 )
         total = len(query_list)
-        results: List[Optional[np.ndarray]] = [None] * total
-        executions: List[Optional[QueryExecution]] = [None] * total
+        results: List[QueryResult] = []
         if total == 0:
-            return []
-        q_lows = np.vstack([query.lows for query in query_list])
-        q_highs = np.vstack([query.highs for query in query_list])
+            return results
+        q_lows = np.array([query.lows for query in query_list])
+        q_highs = np.array([query.highs for query in query_list])
 
         position = 0
         period = self._config.reorganization_period
@@ -685,21 +660,13 @@ class AdaptiveClusteringIndex(BackendBase):
             chunk = min(chunk, max(1, _PAIR_BLOCK // self.n_clusters))
             end = position + chunk
             self._execute_query_chunk(
-                q_lows[position:end],
-                q_highs[position:end],
-                relation,
-                results,
-                executions,
-                position,
+                q_lows[position:end], q_highs[position:end], relation, results
             )
             self._total_queries += chunk
             self._queries_since_reorganization += chunk
             self.maybe_reorganize()
             position = end
-        return [
-            QueryResult(ids=ids, execution=execution)  # type: ignore[arg-type]
-            for ids, execution in zip(results, executions)
-        ]
+        return results
 
     @staticmethod
     def _ragged_arange(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -713,11 +680,9 @@ class AdaptiveClusteringIndex(BackendBase):
         q_lows: np.ndarray,
         q_highs: np.ndarray,
         relation: SpatialRelation,
-        results: List[Optional[np.ndarray]],
-        executions: List[Optional[QueryExecution]],
-        offset: int,
+        results: List[QueryResult],
     ) -> None:
-        """Execute a reorganization-free slice of a query batch.
+        """Execute a reorganization-free slice of a query batch; append its results.
 
         The whole slice runs as a handful of fused array computations:
 
@@ -727,9 +692,10 @@ class AdaptiveClusteringIndex(BackendBase):
            all of them for a one-event publish, one for a large chunk;
         2. member verification expands the surviving (query, cluster) pairs
            into a (query, object) pair list, one window of ``_PAIR_BLOCK``
-           pairs at a time, and narrows each window one dimension at a
-           time — pairs that fail an early dimension never pay for the
-           remaining ones, unlike the dense per-cluster broadcast;
+           pairs at a time, and narrows each window a block of dimensions
+           at a time, sized like the prune step: every dimension at once
+           for a small window, one per step for a large one, so pairs that
+           fail an early dimension never pay for the remaining ones;
         3. ``q(c)`` of every cluster grows by its visit count in one
            vectorised add, and the visits are appended to the pending
            ``q(s)`` log (see :meth:`_log_visits`), which is folded in per
@@ -773,130 +739,120 @@ class AdaptiveClusteringIndex(BackendBase):
             else:
                 np.logical_and(explore, admits, out=explore)
 
-        object_bytes = self._config.cost.object_bytes
-        disk = self._config.scenario is StorageScenario.DISK
+        member_lows_t, member_highs_t, member_ids, member_starts, sizes = (
+            self._ensure_member_matrix()
+        )
         groups_explored = explore.sum(axis=1)
-
-        member_lows_t, member_highs_t, member_ids, member_starts = self._ensure_member_matrix()
-        sizes = np.empty(len(self._signature_cluster_ids), dtype=np.int64)
-        sizes[:-1] = member_starts[1:] - member_starts[:-1]
-        sizes[-1] = member_ids.shape[0] - member_starts[-1]
-        objects_verified = explore.astype(np.int64) @ sizes
+        objects_verified = explore @ sizes
 
         # Visits ordered column-major: ascending cluster row, then ascending
-        # query row — the order the per-query loop explores clusters in.
-        visit_col, visit_q = np.nonzero(explore.T)
+        # query row — the order of the signature rows, so each query's ids
+        # come out cluster by cluster.
+        visit_col, visit_q = explore.T.nonzero()
         visits_per_col = explore.sum(axis=0)
-        explored_cols = np.flatnonzero(visits_per_col)
-        self._storage.on_cluster_reads_bulk(sizes[explored_cols], visits_per_col[explored_cols])
+        self._storage.on_cluster_reads_bulk(sizes, visits_per_col)
         self._cluster_statistics[:, 0] += visits_per_col
         self._log_visits(visit_col, q_lows, q_highs, visit_q, relation)
 
         # ---- member verification: (query, object) pair cascade ----------
-        keep_visit = sizes[visit_col] > 0
-        pair_q = pair_obj = None
-        if keep_visit.any():
-            v_col = visit_col[keep_visit]
-            v_q = visit_q[keep_visit]
-            # The visits' members form one ragged list of (query, object)
-            # pairs; pair p of a visit starting at list position s is member
-            # column p + shift with shift = member_starts[col] - s.
-            lengths = sizes[v_col]
-            ends = np.cumsum(lengths)
-            shift = member_starts[v_col] - (ends - lengths)
-            total_pairs = int(ends[-1])
+        # The visits' members form one ragged list of (query, object) pairs;
+        # pair p of a visit starting at list position s is member column
+        # p + shift with shift = member_starts[col] - s.
+        lengths = sizes.take(visit_col)
+        ends = lengths.cumsum()
+        starts = ends - lengths
+        total_pairs = int(ends[-1]) if ends.size else 0
+        shift = member_starts.take(visit_col) - starts
+        q_lows_t = np.ascontiguousarray(q_lows.T)
+        q_highs_t = np.ascontiguousarray(q_highs.T)
 
-            q_lows_t = np.ascontiguousarray(q_lows.T)
-            q_highs_t = np.ascontiguousarray(q_highs.T)
+        def matches(dims: slice, obj_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
+            """``(dimensions, pairs)`` mask: which pairs pass which dimension of *dims*."""
+            obj_low = member_lows_t[dims].take(obj_rows, axis=1)
+            obj_high = member_highs_t[dims].take(obj_rows, axis=1)
+            query_low = q_lows_t[dims]
+            query_high = q_highs_t[dims]
+            if count > 1:
+                query_low = query_low.take(query_rows, axis=1)
+                query_high = query_high.take(query_rows, axis=1)
+            if relation is SpatialRelation.INTERSECTS:
+                return (obj_low <= query_high) & (query_low <= obj_high)
+            if relation is SpatialRelation.CONTAINED_BY:
+                return (query_low <= obj_low) & (obj_high <= query_high)
+            # CONTAINS
+            return (obj_low <= query_low) & (query_high <= obj_high)
 
-            def dim_alive(dim: int, obj_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-                obj_low = member_lows_t[dim].take(obj_rows)
-                obj_high = member_highs_t[dim].take(obj_rows)
-                query_low = q_lows_t[dim].take(query_rows)
-                query_high = q_highs_t[dim].take(query_rows)
-                if relation is SpatialRelation.INTERSECTS:
-                    return (obj_low <= query_high) & (query_low <= obj_high)
-                if relation is SpatialRelation.CONTAINED_BY:
-                    return (query_low <= obj_low) & (obj_high <= query_high)
-                # CONTAINS
-                return (obj_low <= query_low) & (query_high <= obj_high)
+        # One dimension per step tests the most selective dimensions first
+        # (estimated once per chunk on a strided sample of the pair list) so
+        # the pairs shrink as fast as possible; the surviving set is the
+        # same whatever the order.
+        if total_pairs > 16_384:
+            sample = np.arange(0, total_pairs, max(1, total_pairs // 1024))
+            sample_visit = ends.searchsorted(sample, side="right")
+            sample_obj = sample + shift.take(sample_visit)
+            sample_q = visit_q.take(sample_visit)
+            sample_rates = matches(slice(None), sample_obj, sample_q).mean(axis=1)
+            dim_order = np.argsort(sample_rates, kind="stable")
+        else:
+            dim_order = np.arange(dimensions)
 
-            # Evaluate the most selective dimensions first (estimated once
-            # per chunk on a strided sample of the pair list) so the pairs
-            # shrink as fast as possible; the surviving set is the same
-            # whatever the order.
-            if total_pairs > 16_384:
-                sample = np.arange(0, total_pairs, max(1, total_pairs // 1024))
-                sample_visit = np.searchsorted(ends, sample, side="right")
-                sample_obj = sample + shift[sample_visit]
-                sample_q = v_q[sample_visit]
-                sample_rates = np.array(
-                    [
-                        dim_alive(dim, sample_obj, sample_q).mean()
-                        for dim in range(dimensions)
-                    ]
-                )
-                dim_order = np.argsort(sample_rates, kind="stable")
-            else:
-                dim_order = np.arange(dimensions)
-
-            # Expand and narrow the pair list one window of _PAIR_BLOCK
-            # consecutive pairs at a time; survivors concatenate in visit
-            # order, exactly as if the whole list had been expanded at once.
-            kept_obj: List[np.ndarray] = []
-            kept_q: List[np.ndarray] = []
-            for begin in range(0, total_pairs, _PAIR_BLOCK):
-                stop = min(begin + _PAIR_BLOCK, total_pairs)
-                # Visits overlapping [begin, stop), clipped to the window.
-                first = int(np.searchsorted(ends, begin, side="right"))
-                last = int(np.searchsorted(ends, stop, side="left")) + 1
-                run = np.minimum(ends[first:last], stop) - np.maximum(
-                    ends[first:last] - lengths[first:last], begin
-                )
-                # One fused repeat expands both the query index and the
-                # member shift of every pair.
-                window_q, window_shift = np.repeat(
-                    np.stack([v_q[first:last], shift[first:last]]), run, axis=1
-                )
-                window_obj = np.arange(begin, stop, dtype=np.int64) + window_shift
-                for dim in dim_order:
-                    if window_obj.size == 0:
-                        break
-                    survivors = np.flatnonzero(dim_alive(int(dim), window_obj, window_q))
-                    window_obj = window_obj.take(survivors)
-                    window_q = window_q.take(survivors)
-                kept_obj.append(window_obj)
-                kept_q.append(window_q)
-            pair_obj = np.concatenate(kept_obj)
-            pair_q = np.concatenate(kept_q)
+        # Expand and narrow the pair list one window of _PAIR_BLOCK
+        # consecutive pairs at a time; survivors concatenate in visit
+        # order, exactly as if the whole list had been expanded at once.
+        kept_obj: List[np.ndarray] = []
+        kept_q: List[np.ndarray] = []
+        for begin in range(0, total_pairs, _PAIR_BLOCK):
+            stop = min(begin + _PAIR_BLOCK, total_pairs)
+            # Each visit's pairs inside [begin, stop): none for the visits
+            # outside the window.
+            run = np.minimum(ends, stop) - np.maximum(starts, begin)
+            np.maximum(run, 0, out=run)
+            window_q = visit_q.repeat(run)
+            window_obj = np.arange(begin, stop, dtype=np.int64) + shift.repeat(run)
+            step = max(1, _VERIFY_BLOCK // (stop - begin))
+            for first_dim in dim_order if step == 1 else range(0, dimensions, step):
+                if window_obj.size == 0:
+                    break
+                alive = matches(slice(first_dim, first_dim + step), window_obj, window_q)
+                survivors = (alive[0] if step == 1 else alive.all(axis=0)).nonzero()[0]
+                window_obj = window_obj.take(survivors)
+                window_q = window_q.take(survivors)
+            kept_obj.append(window_obj)
+            kept_q.append(window_q)
 
         # ---- per-query results and counters -----------------------------
-        if pair_q is not None and pair_q.size:
-            matched_ids = member_ids.take(pair_obj)
-            # Stable sort by query preserves the per-query cluster/member
-            # order the loop produces.
-            order = np.argsort(pair_q, kind="stable")
-            sorted_ids = matched_ids.take(order)
+        if kept_q:
+            pair_q = np.concatenate(kept_q)
+            # Stable sort by query preserves each query's cluster/member order.
+            order = pair_q.argsort(kind="stable")
+            sorted_ids = member_ids.take(np.concatenate(kept_obj).take(order))
             counts_per_query = np.bincount(pair_q, minlength=count)
-            bounds = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(counts_per_query, out=bounds[1:])
         else:
             sorted_ids = np.empty(0, dtype=np.int64)
-            bounds = np.zeros(count + 1, dtype=np.int64)
+            counts_per_query = np.zeros(count, dtype=np.int64)
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        counts_per_query.cumsum(out=bounds[1:])
 
+        object_bytes = self._config.cost.object_bytes
+        disk = self._config.scenario is StorageScenario.DISK
         per_query_ms = (time.perf_counter() - start) * 1000.0 / count
-        for row in range(count):
-            ids = sorted_ids[bounds[row] : bounds[row + 1]].copy()
-            results[offset + row] = ids
-            executions[offset + row] = QueryExecution(
+        for explored, verified, low, high in zip(
+            groups_explored.tolist(),
+            objects_verified.tolist(),
+            bounds[:-1].tolist(),
+            bounds[1:].tolist(),
+        ):
+            ids = sorted_ids[low:high].copy()
+            execution = QueryExecution(
                 signature_checks=n_clusters,
-                groups_explored=int(groups_explored[row]),
-                objects_verified=int(objects_verified[row]),
-                results=int(ids.size),
-                bytes_read=int(objects_verified[row]) * object_bytes,
-                random_accesses=int(groups_explored[row]) if disk else 0,
+                groups_explored=explored,
+                objects_verified=verified,
+                results=high - low,
+                bytes_read=verified * object_bytes,
+                random_accesses=explored if disk else 0,
                 wall_time_ms=per_query_ms,
             )
+            results.append(QueryResult(ids=ids, execution=execution))
 
     # ------------------------------------------------------------------
     # Candidate statistics: the pending q(s) visit log
@@ -936,8 +892,8 @@ class AdaptiveClusteringIndex(BackendBase):
             first = self._pending_visits
             last = first + stop - begin
             log_rows[first:last] = rows[begin:stop]
-            np.take(q_lows, visit_q[begin:stop], axis=0, out=log_lows[first:last])
-            np.take(q_highs, visit_q[begin:stop], axis=0, out=log_highs[first:last])
+            q_lows.take(visit_q[begin:stop], axis=0, out=log_lows[first:last])
+            q_highs.take(visit_q[begin:stop], axis=0, out=log_highs[first:last])
             self._pending_visits = last
 
     def _fold_statistics(self) -> None:
@@ -1238,10 +1194,13 @@ class AdaptiveClusteringIndex(BackendBase):
     def _ensure_member_matrix(self) -> Tuple[np.ndarray, ...]:
         """Concatenated per-dimension member bounds of all clusters.
 
-        Returns ``(lows_t, highs_t, ids, starts)`` where ``lows_t`` /
-        ``highs_t`` are ``(Nd, n_objects)`` contiguous arrays, ``ids`` the
-        matching identifiers and ``starts[row]`` the first column of the
-        cluster at signature-matrix row ``row``.
+        Returns ``(lows_t, highs_t, ids, starts, sizes)`` where ``lows_t`` /
+        ``highs_t`` are ``(Nd, columns)`` contiguous arrays, ``ids`` the
+        matching identifiers, and ``starts[row]`` and ``sizes[row]`` the
+        first column and the member count of the cluster at signature-matrix
+        row ``row``.  Each cluster owns as many columns as its store has
+        slots, so inserts and deletes rewrite its columns in place
+        (:meth:`_sync_member_columns`) instead of rebuilding the matrix.
         """
         if self._member_matrix is None:
             clusters = [self._clusters[cid] for cid in self._signature_cluster_ids]
@@ -1250,8 +1209,13 @@ class AdaptiveClusteringIndex(BackendBase):
                 dtype=np.int64,
                 count=len(clusters),
             )
-            starts = np.cumsum(sizes) - sizes
-            total = int(sizes.sum())
+            widths = np.fromiter(
+                (cluster.store.capacity for cluster in clusters),
+                dtype=np.int64,
+                count=len(clusters),
+            )
+            starts = np.cumsum(widths) - widths
+            total = int(widths.sum())
             # Each cluster's rows are transposed straight into place: no
             # (n_objects, Nd) concatenation to transpose afterwards.
             lows_t = np.empty((self.dimensions, total), dtype=np.float64)
@@ -1263,8 +1227,38 @@ class AdaptiveClusteringIndex(BackendBase):
                     lows_t[:, start : start + size] = store.lows.T
                     highs_t[:, start : start + size] = store.highs.T
                     ids[start : start + size] = store.ids
-            self._member_matrix = (lows_t, highs_t, ids, starts)
+            self._member_matrix = (lows_t, highs_t, ids, starts, sizes)
         return self._member_matrix
+
+    def _sync_member_columns(self, cluster: Cluster) -> None:
+        """Rewrite the member-matrix columns of *cluster* after an insert or delete.
+
+        Only the store rows that changed are copied: the appended members
+        (an insert never moves the others), or the rows a swap-remove or a
+        bulk removal refilled.  A cluster that outgrew its columns drops
+        the matrix, and the next query rebuilds it.
+        """
+        if self._member_matrix is None:
+            return
+        lows_t, highs_t, ids, starts, sizes = self._member_matrix
+        row = bisect_left(self._signature_cluster_ids, cluster.cluster_id)
+        store = cluster.store
+        old, new = int(sizes[row]), len(store)
+        start = int(starts[row])
+        end = int(starts[row + 1]) if row + 1 < len(starts) else ids.shape[0]
+        if start + new > end:
+            self._member_matrix = None
+            return
+        if new > old:
+            rows: "slice | np.ndarray" = slice(old, new)
+            columns: "slice | np.ndarray" = slice(start + old, start + new)
+        else:
+            rows = (ids[start : start + new] != store.ids).nonzero()[0]
+            columns = rows + start
+        lows_t[:, columns] = store.lows[rows].T
+        highs_t[:, columns] = store.highs[rows].T
+        ids[columns] = store.ids[rows]
+        sizes[row] = new
 
     def _ensure_candidate_grid(self) -> Optional[Tuple[np.ndarray, ...]]:
         """Grid decomposition of every cluster's candidate family.
@@ -1348,26 +1342,6 @@ class AdaptiveClusteringIndex(BackendBase):
             cell_prefix,
             cell_suffix,
         )
-
-    def _matching_clusters(self, query: HyperRectangle, relation: SpatialRelation) -> List[Cluster]:
-        """Clusters whose signature is matched by the query (Fig. 5, step 2).
-
-        Equivalent to calling ``cluster.matches_query`` on every cluster,
-        evaluated with vectorised comparisons over the stacked signature
-        arrays of all materialized clusters.
-        """
-        start_low, start_high, end_low, end_high = self._ensure_signature_matrix()
-        q_lows = query.lows
-        q_highs = query.highs
-        if relation is SpatialRelation.INTERSECTS:
-            mask = np.all((start_low <= q_highs) & (end_high >= q_lows), axis=1)
-        elif relation is SpatialRelation.CONTAINED_BY:
-            mask = np.all((start_high >= q_lows) & (end_low <= q_highs), axis=1)
-        elif relation is SpatialRelation.CONTAINS:
-            mask = np.all((start_low <= q_lows) & (end_high >= q_highs), axis=1)
-        else:  # pragma: no cover - relation is validated by the caller
-            raise ValueError(f"unsupported relation: {relation!r}")
-        return [self._clusters[self._signature_cluster_ids[row]] for row in np.flatnonzero(mask)]
 
     # ==================================================================
     # Reorganization (Figs. 1-3)

@@ -83,19 +83,11 @@ class StorageBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Query-time events
     # ------------------------------------------------------------------
-    def on_cluster_read(self, cluster_id: int, n_objects: int) -> None:
-        """Query execution scanned *n_objects* members of the cluster."""
-        self.stats.cluster_reads += 1
-        self.stats.bytes_read += n_objects * self.object_bytes
-        self._charge_read(n_objects)
-
     def on_cluster_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
-        """Batch-execution accounting for many clusters at once.
+        """Query execution scanned many clusters, each possibly several times.
 
         ``n_objects`` and ``counts`` are aligned arrays: cluster ``i`` was
         scanned ``counts[i]`` times at ``n_objects[i]`` members each.
-        Equivalent to the corresponding sequence of
-        :meth:`on_cluster_read` calls.
         """
         total_reads = int(counts.sum())
         if total_reads <= 0:
@@ -103,12 +95,6 @@ class StorageBackend(abc.ABC):
         self.stats.cluster_reads += total_reads
         self.stats.bytes_read += int((counts * n_objects).sum()) * self.object_bytes
         self._charge_reads_bulk(n_objects, counts)
-
-    def _charge_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
-        """Charge the cost of the read pattern described by the two arrays."""
-        for size, count in zip(n_objects, counts):
-            for _ in range(int(count)):
-                self._charge_read(int(size))
 
     # ------------------------------------------------------------------
     # Paged-store events
@@ -143,8 +129,8 @@ class StorageBackend(abc.ABC):
     # Scenario-specific cost accounting
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _charge_read(self, n_objects: int) -> None:
-        """Charge the simulated cost of reading *n_objects* members."""
+    def _charge_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
+        """Charge ``counts[i]`` reads of ``n_objects[i]`` members, for every ``i``."""
 
     @abc.abstractmethod
     def _charge_write(self, n_objects: int) -> None:

@@ -30,11 +30,6 @@ class SimulatedDisk(StorageBackend):
         self._access_ms = constants.disk_access_ms
         self._transfer_ms_per_byte = constants.disk_transfer_ms_per_byte
 
-    def _charge_read(self, n_objects: int) -> None:
-        self.stats.random_accesses += 1
-        transfer = n_objects * self.object_bytes * self._transfer_ms_per_byte
-        self.clock.charge(self._access_ms + transfer)
-
     def _charge_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
         total_reads = int(counts.sum())
         self.stats.random_accesses += total_reads

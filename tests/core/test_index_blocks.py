@@ -2,11 +2,12 @@
 
 Batch execution walks (query, member) pairs in windows of
 ``repro.core.index._PAIR_BLOCK`` pairs, bulk routing compares objects in
-slices sized by the same constant, and candidate object counting
-accumulates over ``repro.core.candidates._ROW_BLOCK`` rows.  Shrunk to a
+slices sized by the same constant, the verification cascade tests as many
+dimensions per step as ``_VERIFY_BLOCK`` allows, and candidate object
+counting accumulates over ``repro.core.candidates._ROW_BLOCK`` rows.  Shrunk to a
 handful of elements, every visit, object slice and candidate count straddles
 block boundaries; results, counters and statistics must still equal the
-per-query loop and a dense reference exactly.
+per-query reference loop (``reference.py``) and a dense reference exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+
+from reference import reference_execute
 
 RELATIONS = [
     SpatialRelation.INTERSECTS,
@@ -94,7 +97,7 @@ def test_batch_matches_loop_with_tiny_blocks(dataset, relation, pair_block, warm
     loop_index = copy.deepcopy(base)
     batch_index = copy.deepcopy(base)
 
-    loop = [loop_index.execute(query, relation) for query in stream]
+    loop = [reference_execute(loop_index, query, relation) for query in stream]
     batch = batch_index.execute_batch(stream, relation)
 
     assert loop_index.reorganization_count > base.reorganization_count
@@ -179,7 +182,29 @@ def test_partial_prune_width_matches_loop(relation, width, monkeypatch):
         # A prune step covers _PAIR_BLOCK // (queries × clusters) dimensions.
         monkeypatch.setattr(index_module, "_PAIR_BLOCK", width * batch_index.n_clusters)
         (actual,) = batch_index.execute_batch([query], relation)
-        expected = loop_index.execute(query, relation)
+        expected = reference_execute(loop_index, query, relation)
+        assert np.array_equal(expected.ids, actual.ids)
+        assert actual.execution.core_counters() == expected.execution.core_counters()
+    assert loop_index.reorganization_count > base.reorganization_count
+    assert_same_state(loop_index, batch_index)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_partial_verify_width_matches_loop(relation, width, monkeypatch):
+    """Verification steps of 2 or 3 of 5 dimensions (2+2+1, 3+2) on 7-pair windows."""
+    dataset = generate_uniform_dataset(1500, 5, seed=96, max_extent=0.3)
+    base, queries = build_index(dataset, relation)
+    loop_index = copy.deepcopy(base)
+    batch_index = copy.deepcopy(base)
+    # A step covers _VERIFY_BLOCK // (window pairs) dimensions: `width` on
+    # every full window, more on a shorter last one.
+    monkeypatch.setattr(index_module, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(index_module, "_VERIFY_BLOCK", 7 * width)
+    stream = [queries[i % len(queries)] for i in range(40)]
+    loop = [reference_execute(loop_index, query, relation) for query in stream]
+    batch = batch_index.execute_batch(stream, relation)
+    for expected, actual in zip(loop, batch):
         assert np.array_equal(expected.ids, actual.ids)
         assert actual.execution.core_counters() == expected.execution.core_counters()
     assert loop_index.reorganization_count > base.reorganization_count

@@ -4,7 +4,7 @@ The matrix-maintenance equivalence tests historically covered only the
 insert / merge paths; these tests pin down that deletion (single and bulk)
 keeps the stacked signature / member / candidate matrices consistent, by
 checking that ``query_batch`` after churn returns exactly what the
-per-query loop returns.
+per-query reference loop (``reference.py``) returns.
 """
 
 import copy
@@ -17,6 +17,8 @@ from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
 from repro.workloads.queries import generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+
+from reference import reference_execute
 
 DIMENSIONS = 8
 
@@ -52,7 +54,7 @@ def assert_batch_equals_loop(index, workload):
     loop_index = copy.deepcopy(index)
     batch = batch_index.execute_batch(workload.queries, workload.relation)
     for query, batch_result in zip(workload.queries, batch):
-        loop_result = loop_index.execute(query, workload.relation)
+        loop_result = reference_execute(loop_index, query, workload.relation)
         assert batch_result.ids.tobytes() == loop_result.ids.tobytes()
         assert batch_result.execution.core_counters() == loop_result.execution.core_counters()
 
@@ -129,3 +131,43 @@ class TestDeleteBulk:
         assert clone.delete_bulk(range(0, 200)) > 0
         clone.check_invariants()
         assert_batch_equals_loop(clone, workload)
+
+
+class TestWritesBetweenQueries:
+    """Single writes patch the member matrix in place; the answers must not change.
+
+    Between two queries an insert, a delete or a bulk delete rewrites only
+    the written cluster's columns of the member matrix, and a cluster that
+    outgrows its columns drops the matrix for a rebuild.  Every query of an
+    interleaved stream on one index must answer as the reference does.
+    """
+
+    def test_interleaved_stream_matches_reference(self, churned_index, dataset, workload):
+        engine = churned_index
+        twin = copy.deepcopy(engine)
+        rng = np.random.default_rng(8)
+        live = [int(object_id) for object_id in dataset.ids]
+        next_id = 10_000
+        for step in range(160):
+            kind = step % 4
+            if kind == 0:
+                # A burst of copies of one box lands in one cluster and
+                # overflows its columns now and then.
+                box = engine.get(live[int(rng.integers(len(live)))])
+                for _ in range(1 if step % 40 else 60):
+                    engine.insert(next_id, box)
+                    twin.insert(next_id, box)
+                    live.append(next_id)
+                    next_id += 1
+            elif kind == 1:
+                victim = live.pop(int(rng.integers(len(live))))
+                assert engine.delete(victim) and twin.delete(victim)
+            elif kind == 2:
+                victims = [live.pop(int(rng.integers(len(live)))) for _ in range(5)]
+                assert engine.delete_bulk(victims) == twin.delete_bulk(victims) == 5
+            query = workload.queries[step % len(workload.queries)]
+            got = engine.execute(query, workload.relation)
+            expected = reference_execute(twin, query, workload.relation)
+            assert got.ids.tobytes() == expected.ids.tobytes()
+            assert got.execution.core_counters() == expected.execution.core_counters()
+        engine.check_invariants()

@@ -6,7 +6,7 @@ This suite interleaves batch and per-query execution with every operation
 that reads, resets, copies, persists or restructures the statistics, and
 after every step compares ``q(s)``, ``q(c)``, ``n(s)`` and the outcome of
 the next reorganization pass with a twin index that ran every query
-through the per-query loop.
+through the per-query reference loop (``reference.py``).
 
 A step is a query operation, another operation and a second query
 operation, so the middle operation meets a pending log whenever the first
@@ -31,6 +31,8 @@ from repro.geometry.relations import SpatialRelation
 from repro.storage.pagefile import LazyCluster, PagedStore
 from repro.workloads.queries import generate_point_queries, generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
+
+from reference import reference_execute
 
 
 def load_index(path):
@@ -130,7 +132,7 @@ class Run:
 
     def query_op(self, op):
         queries, relation = self.queries(1 if op != "batch_many" else 30)
-        expected = [self.loop.execute(query, relation) for query in queries]
+        expected = [reference_execute(self.loop, query, relation) for query in queries]
         if op == "execute":
             actual = [self.batch.execute(queries[0], relation)]
         else:
@@ -251,7 +253,7 @@ def test_copies_and_saves_carry_folded_counters(dataset, query_pools, tmp_path):
     pool = query_pools[SpatialRelation.CONTAINS]
     loop = copy.deepcopy(base)
     for query in pool[:5]:
-        loop.execute(query, SpatialRelation.CONTAINS)
+        reference_execute(loop, query, SpatialRelation.CONTAINS)
 
     restores = {
         "deepcopy": copy.deepcopy,
@@ -275,7 +277,7 @@ def test_pickled_clusters_carry_folded_counters(dataset, query_pools):
     loop = copy.deepcopy(base)
     batch = copy.deepcopy(base)
     for query in pool[:5]:
-        loop.execute(query, SpatialRelation.INTERSECTS)
+        reference_execute(loop, query, SpatialRelation.INTERSECTS)
         batch.execute_batch([query], SpatialRelation.INTERSECTS)
     assert batch._pending_visits > 0
     copies = pickle.loads(pickle.dumps(batch.clusters()))

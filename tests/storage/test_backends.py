@@ -1,5 +1,6 @@
 """Unit tests for the memory and simulated-disk storage backends."""
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import CostParameters, StorageScenario
@@ -30,7 +31,7 @@ class TestMemoryBackend:
     def test_reads_cost_no_io_time(self, memory_backend):
         memory_backend.on_cluster_created(0, 0)
         memory_backend.on_objects_appended(0, 100)
-        memory_backend.on_cluster_read(0, 100)
+        memory_backend.on_cluster_reads_bulk(np.array([100]), np.array([1]))
         assert memory_backend.io_time_ms == 0.0
         assert memory_backend.stats.cluster_reads == 1
         assert memory_backend.stats.bytes_read == 100 * memory_backend.object_bytes
@@ -49,7 +50,7 @@ class TestSimulatedDisk:
         disk_backend.on_cluster_created(0, 0)
         disk_backend.on_objects_appended(0, 1000)
         time_before = disk_backend.io_time_ms
-        disk_backend.on_cluster_read(0, 1000)
+        disk_backend.on_cluster_reads_bulk(np.array([1000]), np.array([1]))
         constants = disk_backend.cost_parameters.constants
         expected = constants.disk_access_ms + (
             1000 * disk_backend.object_bytes * constants.disk_transfer_ms_per_byte
@@ -92,7 +93,7 @@ class TestSimulatedDisk:
 
     def test_reset_measurements(self, disk_backend):
         disk_backend.on_cluster_created(0, 10)
-        disk_backend.on_cluster_read(0, 10)
+        disk_backend.on_cluster_reads_bulk(np.array([10]), np.array([1]))
         disk_backend.reset_measurements()
         assert disk_backend.io_time_ms == 0.0
         assert disk_backend.stats.cluster_reads == 0
