@@ -2,14 +2,20 @@
 
 The in-process scatter in ``sharding.py`` queries the shards one after
 another.  This module hosts each shard in its own **worker process**
-instead and ships every read to all workers at once through
-``multiprocessing.shared_memory``: the parent encodes the query batch (a
-single query is a one-row batch) as one ``(m, 2d)`` float64 table (row =
-``lows ‖ highs``), every worker attaches the same segment without copying
-it over a pipe, and replies are gathered in shard order so the merged
-output stays scheduling-independent and byte-identical to the serial
-path.  Workers start with ``fork`` where the platform has it, else
-``spawn``.
+instead and ships every read to all workers at once through one
+``multiprocessing.shared_memory`` segment the executor keeps for its
+lifetime: the parent writes the query batch (a single query is a one-row
+batch) into it as one ``(m, 2d)`` float64 table (row = ``lows ‖ highs``)
+and every worker reads the table from its own mapping of the segment, so
+no box travels over a pipe.  The segment is replaced only when a batch
+outgrows it, and unlinked by :meth:`ProcessShardExecutor.close` or by
+garbage collection of an executor that was never closed; a worker maps
+each segment once, when it first sees its name.  Each worker answers with
+one :class:`~repro.api.protocol.PackedResults` (ids, offsets, counters
+and wall times as four arrays), and replies are gathered in shard order
+so the merged output stays scheduling-independent and byte-identical to
+the serial path.  Workers start with ``fork`` where the platform has it,
+else ``spawn``.
 
 Worker state model
 ------------------
@@ -21,8 +27,9 @@ A worker's backend state is always reproducible as ``baseline + oplog``:
   given backend to the next generation and drop the reference, so the
   parent never holds a live shard.
 * ``oplog`` — the state-changing operations acknowledged since then.
-  Queries are logged too: adaptive backends reorganize on the observed
-  query stream, so replaying them is part of byte-identical restarts.
+  Queries are logged too, each batch as its ``(m, 2d)`` box table:
+  adaptive backends reorganize on the observed query stream, so replaying
+  them is part of byte-identical restarts.
 
 Only workers apply operations: in the serve loop and, on restart, when
 replaying the log onto the loaded state file.  Once a shard's log
@@ -77,8 +84,8 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.protocol import Capabilities, QueryResult, SpatialBackend
-from repro.geometry.box import HyperRectangle
+from repro.api.protocol import Capabilities, PackedResults, QueryResult, SpatialBackend
+from repro.geometry.box import HyperRectangle, box_table
 from repro.geometry.relations import SpatialRelation
 from repro.storage.wal import REAL_FS
 
@@ -160,7 +167,8 @@ def _apply_operation(backend: SpatialBackend, op: str, args: Tuple[Any, ...]) ->
     backend exactly as they would in thread mode.
     """
     if op == "execute_batch":
-        return backend.execute_batch(list(args[0]), args[1])
+        queries = HyperRectangle.from_table(args[0])
+        return PackedResults.pack(backend.execute_batch(queries, args[1]))
     if op == "insert":
         backend.insert(args[0], args[1])
         return None
@@ -195,14 +203,16 @@ def _apply_operation(backend: SpatialBackend, op: str, args: Tuple[Any, ...]) ->
 def _untracked_attach() -> Iterator[None]:
     """Attach shared memory without registering it with a resource tracker.
 
-    The parent (the creator) owns every segment's lifetime: it registers
-    the name at creation and unlinks after the gather.  A worker's attach
-    must not register the name again — depending on whether the worker
-    inherited the parent's tracker or spawned its own, the duplicate
-    registration surfaces as unregister ``KeyError`` noise or as bogus
-    "leaked shared_memory" warnings when the worker exits.  Python 3.13
-    has ``SharedMemory(track=False)`` for exactly this; on the supported
-    3.10/3.11 the registration hook is disabled for the attach instead.
+    The parent (the creator) owns the segment's lifetime: it registers the
+    name at creation and unlinks the segment when a larger batch replaces
+    it, at :meth:`ProcessShardExecutor.close` and at garbage collection.
+    A worker's attach must not register the name again — depending on
+    whether the worker inherited the parent's tracker or spawned its own,
+    the duplicate registration surfaces as unregister ``KeyError`` noise
+    or as bogus "leaked shared_memory" warnings when the worker exits.
+    Python 3.13 has ``SharedMemory(track=False)`` for exactly this; on the
+    supported 3.10/3.11 the registration hook is disabled for the attach
+    instead.
     """
     original = resource_tracker.register
     resource_tracker.register = lambda name, rtype: None  # type: ignore[assignment]
@@ -212,23 +222,40 @@ def _untracked_attach() -> Iterator[None]:
         resource_tracker.register = original
 
 
-def _attach_queries(args: Tuple[Any, ...]) -> Tuple[List[HyperRectangle], Any]:
-    """Decode a shared-memory fan-out request into query boxes."""
-    name, count, dimensions, relation = args
-    queries: List[HyperRectangle] = []
-    if count:
-        with _untracked_attach():
-            segment = shared_memory.SharedMemory(name=name)
-        try:
-            table = np.ndarray(
-                (count, 2 * dimensions), dtype=np.float64, buffer=segment.buf
-            ).copy()
-        finally:
-            segment.close()
-        queries = [
-            HyperRectangle(row[:dimensions], row[dimensions:]) for row in table
-        ]
-    return queries, relation
+class _TableMapping:
+    """A worker's mapping of the executor's shared-memory query table."""
+
+    def __init__(self) -> None:
+        self._segment: Optional[shared_memory.SharedMemory] = None
+
+    def table(self, name: Optional[str], count: int, dimensions: int) -> np.ndarray:
+        """The first *count* rows of segment *name*, mapping it on first sight.
+
+        The returned array views the segment; the caller drops it before
+        its next call, which unmaps a segment the parent has replaced.
+        """
+        if not count:
+            return np.empty((0, 2 * dimensions), dtype=np.float64)
+        if self._segment is None or self._segment.name != name:
+            if self._segment is not None:
+                with contextlib.suppress(BufferError):
+                    self._segment.close()
+            with _untracked_attach():
+                self._segment = shared_memory.SharedMemory(name=name)
+        return np.ndarray((count, 2 * dimensions), dtype=np.float64, buffer=self._segment.buf)
+
+
+def _unlink_segment(segment: shared_memory.SharedMemory, owner_pid: int) -> None:
+    """Close and unlink the executor's query-table segment, from its creator.
+
+    A forked worker inherits the executor object; its copy must never
+    unlink the segment the parent is still writing batches into.
+    """
+    if os.getpid() == owner_pid:
+        segment.close()
+        with contextlib.suppress(OSError):
+            # repro-lint: disable=RL001 -- SharedMemory.unlink releases the shm segment, not a durable file; no FaultyFS coverage applies
+            segment.unlink()
 
 
 def _shard_worker_main(
@@ -244,6 +271,7 @@ def _shard_worker_main(
     backend = _read_state(state_path)
     for op, args in oplog:
         _apply_operation(backend, op, args)
+    mapping = _TableMapping()
     while True:
         try:
             request = connection.recv()
@@ -257,8 +285,12 @@ def _shard_worker_main(
             continue
         try:
             if op == "execute_batch_shm":
-                queries, relation = _attach_queries(args)
-                result = _apply_operation(backend, "execute_batch", (queries, relation))
+                name, count, dimensions, relation = args
+                table = mapping.table(name, count, dimensions)
+                try:
+                    result = _apply_operation(backend, "execute_batch", (table, relation))
+                finally:
+                    del table
             elif op == "checkpoint":
                 result = _write_state(args[0], backend)
             else:
@@ -326,6 +358,10 @@ class ProcessShardExecutor:
             ProcessShardProxy(self, index, backend)
             for index, backend in enumerate(backends)
         ]
+        #: The shared-memory query table and the finalizer that unlinks it;
+        #: created by the first fan-out, replaced when a batch outgrows it.
+        self._segment: Optional[shared_memory.SharedMemory] = None
+        self._segment_finalizer: Optional[weakref.finalize] = None
         self._closed = False
 
     # -- introspection --------------------------------------------------
@@ -350,6 +386,8 @@ class ProcessShardExecutor:
         self._closed = True
         for slot in self._slots:
             self._shutdown_worker(slot, graceful=True)
+        if self._segment_finalizer is not None:
+            self._segment_finalizer()
         self._spill_finalizer()
 
     def materialize(self, index: int) -> SpatialBackend:
@@ -411,72 +449,56 @@ class ProcessShardExecutor:
 
     def execute_batch_all(
         self, queries: Sequence[HyperRectangle], relation: "SpatialRelation | str"
-    ) -> List[List[QueryResult]]:
-        """Run a query batch on every shard worker; results in shard order.
+    ) -> List[PackedResults]:
+        """Run a query batch on every shard worker; packed results in shard order.
 
-        *queries* travel to every worker at once through one shared-memory
-        table.  If any shard fails, every worker is marked stale and
-        nothing is logged, so the failed request leaves no trace on any
-        shard.
+        *queries* travel to every worker at once as one table in the
+        executor's shared-memory segment.  If any shard fails, every
+        worker is marked stale and nothing is logged, so the failed request
+        leaves no trace on any shard.
         """
         self._require_open()
-        queries = list(queries)
         dimensions = self._dimensions
-        for query in queries:
-            if query.dimensions != dimensions:
-                raise ValueError(
-                    f"query has {query.dimensions} dimensions, "
-                    f"the shards have {dimensions}"
-                )
+        table = box_table(queries, dimensions)
         op = "execute_batch_shm"
         indices = range(len(self._slots))
         for index in indices:
             self._ensure_worker(index, op)
-        count = len(queries)
+        count = len(table)
+        name: Optional[str] = None
+        if count:
+            segment = self._table_segment(table.nbytes)
+            np.ndarray(table.shape, dtype=np.float64, buffer=segment.buf)[:] = table
+            name = segment.name
+        args = (name, count, dimensions, relation)
         results: List[Any] = [None] * len(self._slots)
         errors: List[Tuple[int, Exception]] = []
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(16, count * 2 * dimensions * 8)
-        )
-        try:
-            if count:
-                table = np.ndarray(
-                    (count, 2 * dimensions), dtype=np.float64, buffer=segment.buf
+        sent: List[int] = []
+        for index in indices:
+            connection = self._slots[index].connection
+            if connection is None:  # pragma: no cover - ensured above
+                errors.append((index, self._crash(index, op, "no connection")))
+                continue
+            try:
+                connection.send((op, args))
+            except (OSError, ValueError) as error:
+                errors.append(
+                    (index, self._crash(index, op, f"request could not be sent: {error}"))
                 )
-                for row, query in enumerate(queries):
-                    table[row, :dimensions] = query.lows
-                    table[row, dimensions:] = query.highs
-            args = (segment.name, count, dimensions, relation)
-            sent: List[int] = []
-            for index in indices:
-                connection = self._slots[index].connection
-                if connection is None:  # pragma: no cover - ensured above
-                    errors.append((index, self._crash(index, op, "no connection")))
-                    continue
-                try:
-                    connection.send((op, args))
-                except (OSError, ValueError) as error:
-                    errors.append(
-                        (index, self._crash(index, op, f"request could not be sent: {error}"))
-                    )
-                    continue
-                sent.append(index)
-            for index in sent:
-                try:
-                    results[index] = self._receive(index, op)
-                except Exception as error:
-                    errors.append((index, error))
-        finally:
-            segment.close()
-            with contextlib.suppress(OSError):
-                # repro-lint: disable=RL001 -- SharedMemory.unlink releases the shm segment, not a durable file; no FaultyFS coverage applies
-                segment.unlink()
+                continue
+            sent.append(index)
+        for index in sent:
+            try:
+                results[index] = self._receive(index, op)
+            except Exception as error:
+                errors.append((index, error))
         if errors:
             for index in indices:
                 self._slots[index].stale = True
             errors.sort(key=lambda pair: pair[0])
             raise errors[0][1]
-        entry: _OpEntry = ("execute_batch", (tuple(queries), relation))
+        table.flags.writeable = False
+        entry: _OpEntry = ("execute_batch", (table, relation))
         for index in indices:
             self._log(index, entry)
         return results
@@ -553,6 +575,26 @@ class ProcessShardExecutor:
         """Tear down shard *index*'s dead worker and build its error."""
         self._shutdown_worker(self._slots[index], graceful=False)
         return WorkerCrashError(index, op, reason)
+
+    def _table_segment(self, size: int) -> shared_memory.SharedMemory:
+        """The query-table segment, replaced by one at least twice as large
+        (and the old one unlinked) when it holds fewer than *size* bytes.
+
+        Workers still mapping a replaced segment switch to the new one
+        when its name first reaches them.
+        """
+        segment = self._segment
+        if segment is not None and segment.size >= size:
+            return segment
+        if self._segment_finalizer is not None:
+            self._segment_finalizer()
+        grown = max(size, 2 * segment.size if segment is not None else 0)
+        segment = shared_memory.SharedMemory(create=True, size=grown)
+        self._segment = segment
+        self._segment_finalizer = weakref.finalize(
+            self, _unlink_segment, segment, os.getpid()
+        )
+        return segment
 
     def _state_path(self, index: int, generation: int) -> Path:
         return self._spill_dir / f"shard-{index}-{generation}.state"
@@ -733,10 +775,12 @@ class ProcessShardProxy:
         queries: Sequence[HyperRectangle],
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> List[QueryResult]:
-        result = self._executor.request(
-            self._index, "execute_batch", (tuple(queries), relation), log=True
+        table = box_table(queries, self._dimensions)
+        table.flags.writeable = False
+        packed = self._executor.request(
+            self._index, "execute_batch", (table, relation), log=True
         )
-        return list(result)
+        return packed.unpack()
 
     def query(
         self,

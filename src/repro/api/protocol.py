@@ -31,6 +31,8 @@ This module makes the contract explicit:
 
 from __future__ import annotations
 
+import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +41,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Protocol,
     Sequence,
     Tuple,
@@ -52,7 +55,8 @@ from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
 
 #: Counter names a :class:`QueryExecution` may populate (the cost-model
-#: inputs; ``wall_time_ms`` is a measurement, not a counter).
+#: inputs; ``wall_time_ms`` is a measurement, not a counter), in the order
+#: of its fields: :class:`PackedResults` passes them positionally.
 COST_COUNTERS: Tuple[str, ...] = (
     "signature_checks",
     "groups_explored",
@@ -61,6 +65,8 @@ COST_COUNTERS: Tuple[str, ...] = (
     "bytes_read",
     "random_accesses",
 )
+
+_core_counters = operator.attrgetter(*COST_COUNTERS)
 
 
 class UnsupportedOperation(RuntimeError):
@@ -98,6 +104,93 @@ class QueryResult:
     def sorted_ids(self) -> np.ndarray:
         """The matching identifiers in canonical ascending order (a copy)."""
         return np.sort(self.ids)
+
+
+class PackedResults(NamedTuple):
+    """A batch of :class:`QueryResult`\\ s as four arrays.
+
+    The form a query batch takes across every boundary it crosses: a
+    process shard worker's reply, the scatter-gather merge of
+    :class:`~repro.api.sharding.ShardedDatabase` and the serving wire
+    reply.  Query *i*'s identifiers are ``ids[offsets[i]:offsets[i + 1]]``,
+    its :data:`COST_COUNTERS` are ``counters[i]`` and its measured wall
+    time is ``wall_ms[i]``.
+    """
+
+    #: Every query's identifiers, int64, in query order.
+    ids: np.ndarray
+    #: ``(m + 1,)`` int64 bounds of each query's identifiers in *ids*.
+    offsets: np.ndarray
+    #: ``(m, len(COST_COUNTERS))`` int64 work counters, one row per query.
+    counters: np.ndarray
+    #: ``(m,)`` float64 wall-clock milliseconds per query.
+    wall_ms: np.ndarray
+
+    @property
+    def n_queries(self) -> int:
+        """Number of queries *m* the pack holds."""
+        return int(self.wall_ms.shape[0])
+
+    @classmethod
+    def pack(cls, results: Sequence[QueryResult]) -> "PackedResults":
+        """Pack per-query results, in order."""
+        sizes = [result.ids.size for result in results]
+        offsets = np.array([0, *itertools.accumulate(sizes)], dtype=np.int64)
+        if results:
+            ids = np.concatenate([result.ids for result in results]).astype(np.int64, copy=False)
+        else:
+            ids = np.empty(0, dtype=np.int64)
+        executions = [result.execution for result in results]
+        counters = np.array(
+            [_core_counters(execution) for execution in executions], dtype=np.int64
+        ).reshape(len(results), len(COST_COUNTERS))
+        wall_ms = np.array([execution.wall_time_ms for execution in executions], dtype=np.float64)
+        return cls(ids, offsets, counters, wall_ms)
+
+    def unpack(self) -> List[QueryResult]:
+        """One :class:`QueryResult` per query; their ids view :attr:`ids`."""
+        bounds = self.offsets.tolist()
+        return [
+            QueryResult(ids=self.ids[start:stop], execution=QueryExecution(*row, wall_time_ms=wall))
+            for start, stop, row, wall in zip(
+                bounds, bounds[1:], self.counters.tolist(), self.wall_ms.tolist()
+            )
+        ]
+
+    def total(self) -> QueryExecution:
+        """The element-wise sum of every query's counters and wall time."""
+        return QueryExecution(
+            *self.counters.sum(axis=0).tolist(), wall_time_ms=float(self.wall_ms.sum())
+        )
+
+    @classmethod
+    def gather(cls, parts: Sequence["PackedResults"]) -> "PackedResults":
+        """Merge the packs several shards returned for one batch.
+
+        Per query: the union of the shards' identifiers in ascending order
+        (an identifier lives on one shard, so the union is a
+        concatenation) and the element-wise sum of their counters.
+        ``wall_ms`` therefore sums shard work, not scatter wall-clock time.
+        """
+        count = parts[0].n_queries
+        ids = np.concatenate([part.ids for part in parts])
+        if count == 1:
+            # A one-query batch (``execute``) needs no per-query sort keys.
+            ids.sort()
+        else:
+            queries = np.arange(count)
+            owner = np.concatenate(
+                [np.repeat(queries, part.offsets[1:] - part.offsets[:-1]) for part in parts]
+            )
+            ids = ids[np.lexsort((ids, owner))]
+        offsets, counters, wall_ms = parts[0].offsets, parts[0].counters, parts[0].wall_ms
+        for part in parts[1:]:
+            # Each query's merged size is the sum of its sizes, so the
+            # cumulative offsets add up too.
+            offsets = offsets + part.offsets
+            counters = counters + part.counters
+            wall_ms = wall_ms + part.wall_ms
+        return cls(ids, offsets, counters, wall_ms)
 
 
 @dataclass(frozen=True)

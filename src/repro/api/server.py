@@ -12,8 +12,17 @@ Requests and replies are :mod:`repro.wire` message frames — a JSON header
 plus binary blobs in one CRC-checked, size-capped frame.  Query boxes
 travel either as one packed float64 ``(m, 2d)`` blob (the
 :class:`RemoteDatabase` client does this — zero parsing on the hot path)
-or as a JSON ``boxes`` list in the header (hand-rolled clients).  Result
-identifier arrays travel as int64 blobs; execution counters as JSON.
+or as a JSON ``boxes`` list of ``[lows, highs]`` pairs in the header
+(hand-rolled clients); either way the server validates them as one table
+(:meth:`~repro.geometry.box.HyperRectangle.from_table`).
+
+The reply of ``query`` and ``query_batch`` (format version 2) is one
+:class:`~repro.api.protocol.PackedResults`: the header carries ``count``
+(*m*) and four blobs follow — every query's identifiers as int64 in query
+order, the ``(m + 1)`` int64 offsets bounding each query's identifiers,
+the ``(m, 6)`` int64 work counters (columns in
+:data:`~repro.api.protocol.COST_COUNTERS` order) and the ``(m,)`` float64
+wall times.  A ``publish`` reply carries its match ids as one int64 blob.
 
 Failure discipline:
 
@@ -33,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -41,11 +49,10 @@ import numpy as np
 
 from repro import wire
 from repro.api.database import Database
-from repro.api.protocol import QueryResult, SpatialBackend
+from repro.api.protocol import COST_COUNTERS, PackedResults, QueryResult, SpatialBackend
 from repro.api.serving import AsyncDatabase, ServingConfig, ServingStats
-from repro.core.statistics import QueryExecution
 from repro.engine.matcher import MatchRecord
-from repro.geometry.box import HyperRectangle
+from repro.geometry.box import HyperRectangle, box_table
 from repro.geometry.relations import SpatialRelation
 
 __all__ = [
@@ -60,7 +67,8 @@ __all__ = [
 ]
 
 #: Bump on any change to the frame layout or the request/reply headers.
-SERVING_FORMAT_VERSION = 1
+#: Version 2: query replies are one packed result (see the module doc).
+SERVING_FORMAT_VERSION = 2
 
 
 class ServingError(RuntimeError):
@@ -85,63 +93,62 @@ def decode_payload(payload: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
 
 def _pack_boxes(boxes: Sequence[HyperRectangle], dimensions: int) -> bytes:
     """Pack boxes as one contiguous float64 ``(m, 2d)`` row table."""
-    table = np.empty((len(boxes), 2 * dimensions), dtype=np.float64)
-    for row, box in zip(table, boxes):
-        row[:dimensions] = box.lows
-        row[dimensions:] = box.highs
-    return table.tobytes()
-
-
-def _unpack_boxes(blob: bytes, count: int, dimensions: int) -> List[HyperRectangle]:
-    expected = count * 2 * dimensions * 8
-    if count < 0 or dimensions < 1 or len(blob) != expected:
-        raise ValueError(
-            f"box blob of {len(blob)} bytes does not hold {count} boxes of "
-            f"{dimensions} dimensions"
-        )
-    table = np.frombuffer(blob, dtype=np.float64).reshape(count, 2 * dimensions)
-    return [HyperRectangle(row[:dimensions], row[dimensions:]) for row in table]
+    return box_table(boxes, dimensions).tobytes()
 
 
 def _request_boxes(header: Dict[str, Any], blobs: Sequence[bytes]) -> List[HyperRectangle]:
     """The request's boxes: JSON ``boxes`` list, or one packed binary blob."""
     spec = header.get("boxes")
     if spec is not None:
-        if not isinstance(spec, list):
-            raise ValueError("'boxes' must be a list of [lows, highs] pairs")
-        boxes = []
-        for pair in spec:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError("each JSON box is a [lows, highs] pair")
-            boxes.append(HyperRectangle(pair[0], pair[1]))
-        return boxes
+        if spec == []:
+            return []
+        shape_error = "'boxes' must be a list of [lows, highs] pairs of one dimensionality"
+        try:
+            pairs = np.array(spec, dtype=np.float64)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{shape_error}: {error}") from error
+        if pairs.ndim != 3 or pairs.shape[1] != 2:
+            raise ValueError(shape_error)
+        return HyperRectangle.from_table(pairs.reshape(len(pairs), -1))
     count = header.get("count")
     dimensions = header.get("dimensions")
     if not isinstance(count, int) or not isinstance(dimensions, int):
         raise ValueError("a binary box payload needs integer 'count' and 'dimensions'")
     if not blobs:
         raise ValueError("binary box payload missing its blob")
-    return _unpack_boxes(blobs[0], count, dimensions)
+    blob = blobs[0]
+    if count < 0 or dimensions < 1 or len(blob) != count * 2 * dimensions * 8:
+        raise ValueError(
+            f"box blob of {len(blob)} bytes does not hold {count} boxes of "
+            f"{dimensions} dimensions"
+        )
+    table = np.frombuffer(blob, dtype=np.float64).reshape(count, 2 * dimensions)
+    return HyperRectangle.from_table(table)
 
 
-def _execution_dict(execution: QueryExecution) -> Dict[str, object]:
-    return dict(dataclasses.asdict(execution))
+def _results_reply(results: Sequence[QueryResult]) -> Tuple[Dict[str, Any], List[bytes]]:
+    """The packed reply of a ``query`` or ``query_batch`` request."""
+    packed = PackedResults.pack(results)
+    return {"ok": True, "count": packed.n_queries}, [array.tobytes() for array in packed]
 
 
-def _execution_from_dict(value: object) -> QueryExecution:
-    if not isinstance(value, dict):
-        raise ServingError("malformed serving reply: execution is not an object")
-    names = {entry.name for entry in dataclasses.fields(QueryExecution)}
-    kwargs: Dict[str, Any] = {}
-    for key, entry in value.items():
-        if key not in names:
-            continue
-        kwargs[key] = float(entry) if key == "wall_time_ms" else int(entry)
-    return QueryExecution(**kwargs)
-
-
-def _ids_blob(ids: np.ndarray) -> bytes:
-    return np.ascontiguousarray(ids, dtype=np.int64).tobytes()
+def _results_from_reply(reply: Dict[str, Any], blobs: Sequence[bytes]) -> List[QueryResult]:
+    """Rebuild the :class:`QueryResult` list a packed reply carries."""
+    count = reply.get("count")
+    width = len(COST_COUNTERS)
+    if (
+        not isinstance(count, int)
+        or count < 0
+        or len(blobs) != 4
+        or [len(blob) for blob in blobs[1:]] != [(count + 1) * 8, count * width * 8, count * 8]
+    ):
+        raise ServingError("malformed serving reply: packed result shape mismatch")
+    ids = _ids_from_blob(blobs[0])
+    offsets = np.frombuffer(blobs[1], dtype=np.int64)
+    if offsets[0] != 0 or offsets[-1] != ids.size or np.any(np.diff(offsets) < 0):
+        raise ServingError("malformed serving reply: offsets do not bound the ids")
+    counters = np.frombuffer(blobs[2], dtype=np.int64).reshape(count, width)
+    return PackedResults(ids, offsets, counters, np.frombuffer(blobs[3], dtype=np.float64)).unpack()
 
 
 def _ids_from_blob(blob: bytes) -> np.ndarray:
@@ -257,21 +264,10 @@ class DatabaseServer:
             boxes = _request_boxes(header, blobs)
             if len(boxes) != 1:
                 raise ValueError(f"op 'query' carries exactly one box, got {len(boxes)}")
-            result = await self._served.query(boxes[0], relation)
-            return (
-                {"ok": True, "execution": _execution_dict(result.execution)},
-                [_ids_blob(result.ids)],
-            )
+            return _results_reply([await self._served.query(boxes[0], relation)])
         if op == "query_batch":
             boxes = _request_boxes(header, blobs)
-            results = await self._served.query_many(boxes, relation)
-            return (
-                {
-                    "ok": True,
-                    "executions": [_execution_dict(r.execution) for r in results],
-                },
-                [_ids_blob(r.ids) for r in results],
-            )
+            return _results_reply(await self._served.query_many(boxes, relation))
         if op == "publish":
             boxes = _request_boxes(header, blobs)
             if len(boxes) != 1:
@@ -285,7 +281,7 @@ class DatabaseServer:
                     "latency_ms": record.latency_ms,
                     "cached": record.cached,
                 },
-                [_ids_blob(record.matches)],
+                [np.ascontiguousarray(record.matches, dtype=np.int64).tobytes()],
             )
         if op == "subscribe":
             boxes = _request_boxes(header, blobs)
@@ -504,12 +500,10 @@ class RemoteDatabase(wire.Connection):
         header["count"] = 1
         header["dimensions"] = query.dimensions
         reply, blobs = self._request(header, [_pack_boxes([query], query.dimensions)])
-        if not blobs:
-            raise ServingError("malformed serving reply: missing identifier blob")
-        return QueryResult(
-            ids=_ids_from_blob(blobs[0]),
-            execution=_execution_from_dict(reply.get("execution")),
-        )
+        results = _results_from_reply(reply, blobs)
+        if len(results) != 1:
+            raise ServingError("malformed serving reply: expected one result")
+        return results[0]
 
     def query_batch(
         self,
@@ -525,13 +519,10 @@ class RemoteDatabase(wire.Connection):
         header["count"] = len(boxes)
         header["dimensions"] = dimensions
         reply, blobs = self._request(header, [_pack_boxes(boxes, dimensions)])
-        executions = reply.get("executions")
-        if not isinstance(executions, list) or len(blobs) != len(boxes):
+        results = _results_from_reply(reply, blobs)
+        if len(results) != len(boxes):
             raise ServingError("malformed serving reply: batch shape mismatch")
-        return [
-            QueryResult(ids=_ids_from_blob(blob), execution=_execution_from_dict(entry))
-            for blob, entry in zip(blobs, executions)
-        ]
+        return results
 
     def publish(self, event_id: int, box: HyperRectangle) -> MatchRecord:
         """Publish one event; returns its delivered :class:`MatchRecord`."""

@@ -7,16 +7,19 @@ millions of users looks different: many independent clients each submit
 :class:`AsyncDatabase` is the asyncio front-end that turns that traffic
 shape back into batches:
 
-* every request (``query`` / ``publish`` / ``subscribe`` / ``unsubscribe``)
-  enqueues onto one FIFO and immediately returns an awaitable future;
+* every request (``query`` / ``query_many`` / ``publish`` / ``subscribe`` /
+  ``unsubscribe``) enqueues onto one FIFO and immediately returns an
+  awaitable future; ``query_many`` is **one** request however many boxes
+  it carries, and ``query`` is its one-box case;
 * a single worker drains the queue in **ticks**: a tick begins with the
   first waiting request and closes when ``max_batch_size`` requests have
   accumulated or the first request has waited ``max_delay_ms`` — the same
   size-or-deadline micro-batching discipline as the streaming matcher;
 * the tick is processed on a worker thread (the NumPy verification kernels
-  release the GIL, so the event loop keeps accepting requests): runs of
-  adjacent queries sharing a relation collapse into one ``execute_batch``
-  call, each run of adjacent publishes is one
+  release the GIL, so the event loop keeps accepting requests): the boxes
+  of a run of adjacent query requests sharing a relation are spliced into
+  one ``execute_batch`` call, and each request gets its own slice of the
+  results; each run of adjacent publishes is one
   :meth:`~repro.engine.matcher.StreamingMatcher.match` call on the attached
   session, and subscribes / unsubscribes are applied one at a time;
 * requests reach the backend strictly in arrival order — a publish is
@@ -24,7 +27,9 @@ shape back into batches:
   observes exactly the result a sequential execution of the same request
   sequence would produce (``tests/api/test_serving.py`` pins this);
 * a failing request fails its own future and nothing else: a malformed
-  query or publish fails alone, a failing ``execute_batch`` or ``match``
+  query or publish fails alone (a ``query_many`` with one malformed box
+  fails as a whole and runs none of its boxes), a failing
+  ``execute_batch`` or ``match``
   fails the requests of its run (they are not retried one at a time), and
   the tick carries on.
 
@@ -94,7 +99,8 @@ class ServingConfig:
 class ServingStats:
     """Aggregate statistics of one front-end's lifetime."""
 
-    #: Requests completed, by kind (failed ones included).
+    #: Requests completed, by kind (failed ones included); ``queries``
+    #: counts boxes, so a ``query_many`` of *m* boxes adds *m*.
     queries: int = 0
     publishes: int = 0
     subscribes: int = 0
@@ -138,10 +144,10 @@ class ServingStats:
 
 
 #: One enqueued request: (kind, payload, future).  Payloads by kind:
-#: ``query`` → (box, relation); ``publish`` → (event_id, box);
+#: ``query`` → (boxes, relation); ``publish`` → (event_id, box);
 #: ``subscribe`` → (subscription_id, box); ``unsubscribe`` → subscription_id.
 _Request = Tuple[str, object, "asyncio.Future[object]"]
-#: The backend input of one request: a query's box, a publish's (event_id, box).
+#: The backend input of one request: a query's boxes, a publish's (event_id, box).
 _Item = TypeVar("_Item")
 
 #: A held-back acknowledgement of a group-committed tick: (future, result,
@@ -286,22 +292,27 @@ class AsyncDatabase:
         relation: "SpatialRelation | str | None" = None,
     ) -> QueryResult:
         """Execute one query; batched with concurrently submitted requests."""
-        parsed = (
-            self._config.relation if relation is None else SpatialRelation.parse(relation)
-        )
-        result = await self._submit("query", (query, parsed))
-        assert isinstance(result, QueryResult)
-        return result
+        return (await self.query_many([query], relation))[0]
 
     async def query_many(
         self,
         queries: Sequence[HyperRectangle],
         relation: "SpatialRelation | str | None" = None,
     ) -> List[QueryResult]:
-        """Submit several queries at once and await all their results."""
-        return list(
-            await asyncio.gather(*(self.query(query, relation) for query in queries))
+        """Execute several queries as one request; one result per query.
+
+        The request succeeds or fails as a whole: one box of the wrong
+        dimensionality fails it before any of its boxes runs.
+        """
+        parsed = (
+            self._config.relation if relation is None else SpatialRelation.parse(relation)
         )
+        boxes = list(queries)
+        if not boxes:
+            return []
+        results = await self._submit("query", (boxes, parsed))
+        assert isinstance(results, list)
+        return results
 
     async def publish(self, event_id: int, box: HyperRectangle) -> MatchRecord:
         """Publish one event; resolves with its delivered :class:`MatchRecord`."""
@@ -473,42 +484,51 @@ class AsyncDatabase:
                     self._run_churn(request)
 
     def _run_query_run(self, run: List[_Request], relation: SpatialRelation) -> None:
-        """Execute a run of adjacent same-relation queries with one ``execute_batch``."""
-        self._stats.queries += len(run)
-        boxes: List[HyperRectangle] = [payload[0] for _, payload, _ in run]  # type: ignore[index]
-        futures, boxes = self._well_formed(run, boxes, boxes)
-        if boxes and self._deliver(futures, self._database.execute_batch, boxes, relation):
+        """Splice the boxes of a run of adjacent same-relation query requests
+        into one ``execute_batch``; each request resolves with its slice."""
+        requests: List[List[HyperRectangle]] = [payload[0] for _, payload, _ in run]  # type: ignore[index]
+        self._stats.queries += sum(len(request) for request in requests)
+        futures, requests = self._well_formed(run, requests, requests)
+        if not requests:
+            return
+        boxes = [box for request in requests for box in request]
+        sizes = [len(request) for request in requests]
+        if self._deliver(futures, sizes, self._database.execute_batch, boxes, relation):
             self._stats.query_batches += 1
 
     def _run_publish_run(self, run: List[_Request]) -> None:
         """Match a run of adjacent publishes with one ``match`` call."""
         self._stats.publishes += len(run)
         events: List[Tuple[int, HyperRectangle]] = [payload for _, payload, _ in run]  # type: ignore[misc]
-        futures, events = self._well_formed(run, [box for _, box in events], events)
+        futures, events = self._well_formed(run, [[box] for _, box in events], events)
         if events:
-            self._deliver(futures, self._matcher.match, events)
+            self._deliver(futures, None, self._matcher.match, events)
 
     def _well_formed(
-        self, run: List[_Request], boxes: List[HyperRectangle], items: List[_Item]
+        self,
+        run: List[_Request],
+        boxes: Sequence[Sequence[HyperRectangle]],
+        items: List[_Item],
     ) -> "Tuple[List[asyncio.Future[object]], List[_Item]]":
-        """Fail every request of *run* whose box has the wrong dimensionality.
+        """Fail every request of *run* with a box of the wrong dimensionality.
 
-        ``boxes[i]`` is the box and ``items[i]`` the backend input of
+        ``boxes[i]`` are the boxes and ``items[i]`` the backend input of
         ``run[i]``.  Returns the futures and items of the other requests,
         in arrival order, so a malformed request fails alone.
         """
         dimensions = self._database.dimensions
         futures: "List[asyncio.Future[object]]" = []
         kept: List[_Item] = []
-        for (_, _, future), box, item in zip(run, boxes, items):
-            if box.dimensions == dimensions:
+        for (_, _, future), request_boxes, item in zip(run, boxes, items):
+            wrong = [box.dimensions for box in request_boxes if box.dimensions != dimensions]
+            if not wrong:
                 futures.append(future)
                 kept.append(item)
             else:
                 self._resolve(
                     future,
                     error=ValueError(
-                        f"box has {box.dimensions} dimensions, backend expects {dimensions}"
+                        f"box has {wrong[0]} dimensions, backend expects {dimensions}"
                     ),
                 )
         return futures, kept
@@ -516,13 +536,16 @@ class AsyncDatabase:
     def _deliver(
         self,
         futures: "List[asyncio.Future[object]]",
+        sizes: Optional[Sequence[int]],
         call: Callable[..., Sequence[object]],
         *args: object,
     ) -> bool:
         """Resolve *futures* with the outcomes of one ``call(*args)``; True on success.
 
-        If the call raises, every future fails with its error: the requests
-        are not retried one at a time, which would run the rest twice.
+        Future *i* gets outcome *i*, or with *sizes* the next ``sizes[i]``
+        outcomes as a list.  If the call raises, every future fails with
+        its error: the requests are not retried one at a time, which would
+        run the rest twice.
         """
         try:
             outcomes = call(*args)
@@ -530,8 +553,14 @@ class AsyncDatabase:
             for future in futures:
                 self._resolve(future, error=error)
             return False
-        for future, outcome in zip(futures, outcomes):
-            self._resolve(future, result=outcome)
+        if sizes is None:
+            for future, outcome in zip(futures, outcomes):
+                self._resolve(future, result=outcome)
+            return True
+        start = 0
+        for future, size in zip(futures, sizes):
+            self._resolve(future, result=list(outcomes[start : start + size]))
+            start += size
         return True
 
     def _run_churn(self, request: _Request) -> None:

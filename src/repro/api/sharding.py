@@ -17,11 +17,12 @@ without noticing:
 * **scatter-gather** — ``execute_batch`` sends the whole workload to
   *every* shard (``execute`` is its one-query case), runs the shards
   serially in-process or, with ``execution="process"``, in worker
-  processes that all read one shared-memory query table, and merges the
-  per-shard :class:`~repro.api.protocol.QueryResult`\\ s into one result
-  per query: identifiers in canonical ascending order, work counters summed
-  element-wise.  Sharding is invisible: the merged identifier sets are
-  byte-identical to an unsharded backend holding the same objects, and the
+  processes that all read one shared-memory query table, and gathers the
+  shards' :class:`~repro.api.protocol.PackedResults` with array operations
+  into one result per query: identifiers in canonical ascending order,
+  work counters summed element-wise.  Sharding is invisible: the merged
+  identifier sets are byte-identical to an unsharded backend holding the
+  same objects, and the
   merged counters are exactly the sum of what the shards report
   individually (``tests/test_backend_protocol.py`` pins both).
 * **per-shard persistence** — ``save`` writes one directory holding a JSON
@@ -53,12 +54,11 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.api.protocol import (
     COST_COUNTERS,
     BackendBase,
     Capabilities,
+    PackedResults,
     QueryResult,
     SpatialBackend,
 )
@@ -311,10 +311,8 @@ class ShardWorkloadAccount:
 
     def with_queries(self, count: int, execution: QueryExecution) -> "ShardWorkloadAccount":
         """This account plus *count* queries whose counters sum to *execution*."""
-        return replace(
-            self,
-            queries=self.queries + int(count),
-            execution=self.execution.merge(execution),
+        return ShardWorkloadAccount(
+            self.queries + int(count), self.inserts, self.deletes, self.execution.merge(execution)
         )
 
     def with_churn(self, inserts: int = 0, deletes: int = 0) -> "ShardWorkloadAccount":
@@ -847,27 +845,6 @@ class ShardedDatabase(BackendBase):
             router=_copy.deepcopy(self._router, memo),
         )
 
-    @staticmethod
-    def _merge(results: Sequence[QueryResult]) -> QueryResult:
-        """Gather per-shard results: ascending-id union, summed counters.
-
-        Identifiers live on exactly one shard, so the union is a plain
-        concatenation; sorting makes the merged order canonical (and
-        byte-identical to a sorted unsharded result).  Counters sum
-        element-wise — including ``wall_time_ms``, which therefore reports
-        aggregate shard work, not scatter wall-clock time.
-        """
-        arrays = [result.ids for result in results if result.ids.size]
-        if arrays:
-            ids = np.concatenate(arrays)
-            ids.sort()
-        else:
-            ids = np.empty(0, dtype=np.int64)
-        execution = QueryExecution()
-        for result in results:
-            execution = execution.merge(result.execution)
-        return QueryResult(ids=ids, execution=execution)
-
     def execute(
         self,
         query: HyperRectangle,
@@ -895,26 +872,25 @@ class ShardedDatabase(BackendBase):
         targets = self._read_targets()
         if self._process_executor is not None and targets is self._shards:
             # Shared-memory fan-out: one request to every worker at once.
-            per_shard = self._process_executor.execute_batch_all(query_list, parsed)
+            parts = self._process_executor.execute_batch_all(query_list, parsed)
         else:
-            per_shard = [shard.execute_batch(query_list, parsed) for shard in targets]
-        for position, results in enumerate(per_shard):
-            # An explicit length check: ``zip(*per_shard)`` below would
-            # silently truncate the gather to the shortest shard row,
-            # dropping results (and their counters) without a trace.
-            if len(results) != len(query_list):
+            parts = [
+                PackedResults.pack(shard.execute_batch(query_list, parsed))
+                for shard in targets
+            ]
+        for position, part in enumerate(parts):
+            # A shard answering for fewer queries would shift every later
+            # query's results in the gather, so it is an error.
+            if part.n_queries != len(query_list):
                 raise RuntimeError(
-                    f"shard {position} returned {len(results)} results for "
+                    f"shard {position} returned {part.n_queries} results for "
                     f"{len(query_list)} queries"
                 )
-            summed = QueryExecution()
-            for result in results:
-                summed = summed.merge(result.execution)
             self._accounts[position] = self._accounts[position].with_queries(
-                len(query_list), summed
+                len(query_list), part.total()
             )
         self._recent_queries.extend(query_list)
-        return [self._merge(row) for row in zip(*per_shard)]
+        return PackedResults.gather(parts).unpack()
 
     # ------------------------------------------------------------------
     # Persistence (capability-gated)

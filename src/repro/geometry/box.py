@@ -12,13 +12,21 @@ view per dimension for readable client code.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.geometry.interval import Interval
 
 ArrayLike = Union[Sequence[float], np.ndarray]
+
+
+def _bounds_error(lows: np.ndarray, highs: np.ndarray, dimension: int) -> str:
+    """Why ``lows[dimension] <= highs[dimension]`` does not hold."""
+    low, high = lows[dimension], highs[dimension]
+    if np.isnan(low) or np.isnan(high):
+        return f"NaN coordinate in dimension {dimension}"
+    return f"invalid extent in dimension {dimension}: high ({high}) < low ({low})"
 
 
 class HyperRectangle:
@@ -55,12 +63,9 @@ class HyperRectangle:
             )
         if lows_arr.size == 0:
             raise ValueError("a hyper-rectangle needs at least one dimension")
-        if np.any(highs_arr < lows_arr):
-            bad = int(np.argmax(highs_arr < lows_arr))
-            raise ValueError(
-                f"invalid extent in dimension {bad}: "
-                f"high ({highs_arr[bad]}) < low ({lows_arr[bad]})"
-            )
+        ordered = lows_arr <= highs_arr  # False for NaN as well as high < low
+        if not ordered.all():
+            raise ValueError(_bounds_error(lows_arr, highs_arr, int(np.argmin(ordered))))
         # Copies guard the internal state against caller-side mutation.
         self._lows = lows_arr.copy()
         self._highs = highs_arr.copy()
@@ -78,6 +83,37 @@ class HyperRectangle:
             raise ValueError("at least one interval is required")
         lows, highs = zip(*pairs)
         return cls(lows, highs)
+
+    @classmethod
+    def from_table(cls, table: ArrayLike) -> List["HyperRectangle"]:
+        """Boxes from an ``(m, 2d)`` table whose rows are ``lows ‖ highs``.
+
+        The whole table is validated in one step — its shape, NaN
+        coordinates and ``highs >= lows`` — and copied once; each box views
+        its own row of the read-only copy.  :func:`box_table` is the
+        inverse.
+        """
+        rows = np.array(table, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] == 0 or rows.shape[1] % 2:
+            raise ValueError(
+                f"a box table has shape (m, 2d) with d >= 1, got {rows.shape}"
+            )
+        rows.flags.writeable = False
+        dimensions = rows.shape[1] // 2
+        lows, highs = rows[:, :dimensions], rows[:, dimensions:]
+        ordered = lows <= highs  # False for NaN as well as high < low
+        if not ordered.all():
+            row, dimension = (int(index) for index in np.argwhere(~ordered)[0])
+            raise ValueError(
+                f"box {row}: " + _bounds_error(lows[row], highs[row], dimension)
+            )
+        boxes: List[HyperRectangle] = []
+        for low, high in zip(lows, highs):
+            box = cls.__new__(cls)
+            box._lows = low
+            box._highs = high
+            boxes.append(box)
+        return boxes
 
     @classmethod
     def from_point(cls, coordinates: ArrayLike) -> "HyperRectangle":
@@ -272,3 +308,21 @@ class HyperRectangle:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         parts = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self._lows, self._highs))
         return f"HyperRectangle({parts})"
+
+
+def box_table(boxes: Sequence[HyperRectangle], dimensions: int) -> np.ndarray:
+    """Pack *boxes* into one fresh ``(m, 2d)`` float64 table (row = ``lows ‖ highs``).
+
+    The inverse of :meth:`HyperRectangle.from_table`.  Every box must have
+    *dimensions* dimensions.
+    """
+    for position, box in enumerate(boxes):
+        if box.dimensions != dimensions:
+            raise ValueError(
+                f"box {position} has {box.dimensions} dimensions, expected {dimensions}"
+            )
+    table = np.empty((len(boxes), 2 * dimensions), dtype=np.float64)
+    if boxes:
+        table[:, :dimensions] = [box.lows for box in boxes]
+        table[:, dimensions:] = [box.highs for box in boxes]
+    return table

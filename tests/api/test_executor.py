@@ -8,7 +8,9 @@ oplog``.  ``test_kill_worker_at_every_request_index`` enumerates a
 worker kill before every fan-out request in a fixed script and pins the
 survivors byte-identical to an untouched thread-mode oracle.  Running it
 at fold thresholds 1, 2 and 3 lands the kills before, on and after the
-worker-side folds into new state-file generations.
+worker-side folds into new state-file generations.  The script's last
+batch outgrows the executor's shared-memory query table, so a restarted
+worker also has to map a replaced segment.
 """
 
 import gc
@@ -84,13 +86,32 @@ def run_step(database, step):
     return [(result.ids.tobytes(), result.execution.core_counters()) for result in batch]
 
 
-#: Fan-out request script: five single queries and one batch, so the kill
-#: enumeration covers one-row and multi-row shared-memory fan-outs.
+#: Fan-out request script: five single queries and two batches, so the
+#: kill enumeration covers one-row and multi-row shared-memory fan-outs.
+#: Each batch is larger than any fan-out before it, so both grow the
+#: shared-memory table.
 def make_script():
     queries = make_boxes(5, seed=2)
     steps = [("query", query) for query in queries]
     steps.insert(3, ("batch", make_boxes(4, seed=3)))
+    steps.append(("batch", make_boxes(9, seed=8)))
     return steps
+
+
+def segment_name(database):
+    """Name of the executor's shared-memory query table (``None`` before
+    the first fan-out)."""
+    segment = executor_of(database)._segment
+    return None if segment is None else segment.name
+
+
+def segment_exists(name):
+    return Path("/dev/shm", name).exists()
+
+
+needs_dev_shm = pytest.mark.skipif(
+    not Path("/dev/shm").is_dir(), reason="POSIX shared memory is not under /dev/shm"
+)
 
 
 def executor_of(database):
@@ -123,7 +144,7 @@ def answers(backend, seed):
 
 
 class TestKillEnumeration:
-    @pytest.mark.parametrize("kill_index", range(6))
+    @pytest.mark.parametrize("kill_index", range(7))
     @pytest.mark.parametrize("threshold", [1, 2, 3, 64])
     def test_kill_worker_at_every_request_index(self, kill_index, threshold, monkeypatch):
         """Killing a worker before request *k* fails request *k* only.
@@ -140,6 +161,7 @@ class TestKillEnumeration:
         database, oracle = make_pair()
         try:
             for index, step in enumerate(script):
+                segment_before = segment_name(database)
                 if index == kill_index:
                     killed_pid = kill_worker(database, victim)
                     with pytest.raises(WorkerCrashError) as crash:
@@ -153,6 +175,9 @@ class TestKillEnumeration:
                     assert database.shards[victim].worker_pid not in (None, killed_pid)
                 else:
                     assert run_step(database, step) == run_step(oracle, step)
+                if index == len(script) - 1:
+                    # The last batch grew the table into a new segment.
+                    assert segment_name(database) not in (None, segment_before)
                 if index == 1:
                     box = make_boxes(1, seed=4)[0]
                     database.insert(1_000, box)
@@ -320,6 +345,68 @@ class TestFolds:
         del executor
         gc.collect()
         assert not spill.exists()
+
+
+class TestSharedTable:
+    """One shared-memory query table per executor, replaced only to grow."""
+
+    def test_one_segment_serves_many_fan_outs(self):
+        database, oracle = make_pair()
+        try:
+            batch = ("batch", make_boxes(6, seed=30))
+            assert run_step(database, batch) == run_step(oracle, batch)
+            name = segment_name(database)
+            assert name is not None
+            for seed in range(31, 36):
+                assert run_step(database, ("query", make_boxes(1, seed=seed)[0])) == run_step(
+                    oracle, ("query", make_boxes(1, seed=seed)[0])
+                )
+                batch = ("batch", make_boxes(seed - 29, seed=seed))
+                assert run_step(database, batch) == run_step(oracle, batch)
+            assert segment_name(database) == name
+        finally:
+            database.close()
+            oracle.close()
+
+    @needs_dev_shm
+    def test_larger_batch_replaces_and_unlinks_the_segment(self):
+        database, oracle = make_pair()
+        try:
+            small = ("batch", make_boxes(2, seed=40))
+            assert run_step(database, small) == run_step(oracle, small)
+            old = segment_name(database)
+            assert segment_exists(old)
+            large = ("batch", make_boxes(50, seed=41))
+            assert run_step(database, large) == run_step(oracle, large)
+            new = segment_name(database)
+            assert new != old
+            assert segment_exists(new) and not segment_exists(old)
+            # Workers switch back and forth without remapping trouble.
+            assert run_step(database, small) == run_step(oracle, small)
+            assert segment_name(database) == new
+        finally:
+            database.close()
+            oracle.close()
+
+    @needs_dev_shm
+    def test_close_unlinks_the_segment(self):
+        database, oracle = make_pair()
+        oracle.close()
+        database.execute(HyperRectangle.unit(DIMENSIONS))
+        name = segment_name(database)
+        assert segment_exists(name)
+        database.close()
+        assert not segment_exists(name)
+
+    @needs_dev_shm
+    def test_garbage_collection_unlinks_the_segment(self):
+        executor = ProcessShardExecutor([create_backend("ac", DIMENSIONS) for _ in range(N_SHARDS)])
+        executor.execute_batch_all(make_boxes(3), "intersects")
+        name = executor._segment.name
+        assert segment_exists(name)
+        del executor
+        gc.collect()
+        assert not segment_exists(name)
 
 
 class TestLifecycle:

@@ -30,7 +30,7 @@ from repro.api import (
     ShardedDatabase,
     serve_in_thread,
 )
-from repro.api.server import _SERVING, decode_payload, encode_frame
+from repro.api.server import SERVING_FORMAT_VERSION, _SERVING, decode_payload, encode_frame
 from repro.geometry.box import HyperRectangle
 from repro.wire import recv_frame
 
@@ -115,7 +115,7 @@ class TestRemoteRoundTrip:
             remote.query(HyperRectangle.unit(DIMENSIONS))
             info = remote.stats()
         assert info["dimensions"] == DIMENSIONS
-        assert info["format_version"] == 1
+        assert info["format_version"] == SERVING_FORMAT_VERSION == 2
         assert info["serving"]["queries"] >= 1
 
     def test_json_box_payload(self, served):
@@ -139,6 +139,21 @@ class TestFailureDiscipline:
                 remote.query(HyperRectangle.unit(DIMENSIONS + 2))
             # Same connection, next request: served normally.
             assert remote.query(HyperRectangle.unit(DIMENSIONS)).ids.size == 150
+
+    def test_nan_box_gets_error_reply_and_connection_keeps_serving(self, served):
+        handle, _ = served
+        table = np.array([[0.1, 0.1, 0.1, 0.1, 0.5, np.nan, 0.5, 0.5]])
+        header = {"op": "subscribe", "subscription_id": 10_000, "count": 1, "dimensions": 4}
+        with socket.create_connection(handle.address) as connection:
+            connection.sendall(encode_frame(header, [table.tobytes()]))
+            reply, _blobs = _recv_frame(connection)
+            assert reply["ok"] is False
+            assert reply["error"] == "ValueError"
+            assert "NaN coordinate in dimension 1" in reply["message"]
+            connection.sendall(encode_frame({"op": "stats"}))
+            again, _blobs = _recv_frame(connection)
+            assert again["ok"] is True
+            assert again["serving"]["subscribes"] == 0
 
     def test_unknown_op_gets_structured_error_reply(self, served):
         handle, _ = served
@@ -192,6 +207,26 @@ class TestFailureDiscipline:
             with RemoteDatabase(listener.getsockname()) as remote:
                 with pytest.raises(ServingError, match="truncated serving frame"):
                     remote.stats()
+            thread.join(timeout=10.0)
+
+    def test_malformed_packed_reply_surfaces_serving_error(self):
+        """A query reply whose packed arrays disagree with its count is
+        refused, never turned into results."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def short_reply():
+                connection, _peer = listener.accept()
+                with connection:
+                    _recv_frame(connection)
+                    offsets = np.array([0, 1], dtype=np.int64)  # one query, not two
+                    blobs = [np.arange(1, dtype=np.int64).tobytes(), offsets.tobytes(), b"", b""]
+                    connection.sendall(encode_frame({"ok": True, "count": 2}, blobs))
+
+            thread = threading.Thread(target=short_reply, daemon=True)
+            thread.start()
+            with RemoteDatabase(listener.getsockname()) as remote:
+                with pytest.raises(ServingError, match="malformed serving reply"):
+                    remote.query_batch([HyperRectangle.unit(DIMENSIONS)] * 2)
             thread.join(timeout=10.0)
 
     def test_peer_close_between_frames_surfaces_serving_error(self):

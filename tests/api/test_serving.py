@@ -177,6 +177,47 @@ class TestQueries:
         assert isinstance(bad, ValueError)
         assert failed == 1
 
+    def test_query_many_is_one_request_that_fails_as_a_whole(self, database):
+        """A ``query_many`` holding one box of the wrong dimensionality fails
+        as a whole, runs none of its boxes, and leaves the other requests of
+        its tick alone."""
+        rng = np.random.default_rng(7)
+        good = [make_box(rng) for _ in range(5)]
+        bad = [good[0], HyperRectangle.unit(DIMENSIONS + 1), good[1]]
+        reference = copy.deepcopy(database)
+        expected = reference.execute_batch([good[2]] + good[3:5])
+
+        async def main():
+            async with AsyncDatabase(database) as served:
+                before = database.backend.total_queries
+                outcomes = await asyncio.gather(
+                    served.query_many(bad), return_exceptions=True
+                )
+                after_bad = database.backend.total_queries
+                mixed = await asyncio.gather(
+                    served.query(good[2]),
+                    served.query_many(bad),
+                    served.query_many(good[3:5]),
+                    return_exceptions=True,
+                )
+                return outcomes, before, after_bad, mixed, served.stats
+
+        (failed,), before, after_bad, mixed, stats = asyncio.run(main())
+        assert isinstance(failed, ValueError) and "dimensions" in str(failed)
+        assert after_bad == before
+        single, failed_again, pair = mixed
+        assert isinstance(failed_again, ValueError)
+        assert isinstance(single, QueryResult) and len(pair) == 2
+        for got, want in zip([single] + pair, expected):
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.execution.core_counters() == want.execution.core_counters()
+        # Every box is counted, those of the failed requests included; the
+        # good requests of the second tick ran as one execute_batch.
+        assert stats.queries == 3 + 1 + 3 + 2
+        assert stats.failed == 2
+        assert stats.query_batches == 1
+        assert database.backend.total_queries == before + 3
+
     def test_failed_run_fails_every_query_and_runs_once(self):
         """A tick's run of queries is one scatter to the shards.  When a
         shard fails it, every query of the run gets the error, and the
@@ -456,6 +497,61 @@ class TestArrivalOrder:
             assert record.matches.tobytes() == matches.tobytes()
             assert np.array_equal(result.ids, want.ids)
             assert result.execution.core_counters() == want.execution.core_counters()
+
+
+    @pytest.mark.parametrize("period", [2, 100])
+    def test_query_many_between_publishes_keeps_arrival_order(self, period):
+        """Each tick is ``gather(publish, query_many, publish)``: the batch
+        reaches the backend after the first publish and before the second,
+        as one ``execute_batch``."""
+        scenario = apartment_ads_scenario(seed=5)
+        config = AdaptiveClusteringConfig(
+            cost=CostParameters.memory_defaults(scenario.dimensions),
+            reorganization_period=period,
+        )
+        database = Database.from_dataset(
+            "ac", scenario.generate_subscriptions(2_000), config=config
+        )
+        events = scenario.generate_events(160).queries
+        queries = scenario.generate_events(240, range_fraction=0.1).queries
+        ticks = [
+            (events[2 * tick], queries[3 * tick : 3 * tick + 3], events[2 * tick + 1])
+            for tick in range(80)
+        ]
+        reference = copy.deepcopy(database)
+        session = reference.session(StreamingConfig(max_batch_size=1))
+        expected = []
+        for tick, (first, batch, second) in enumerate(ticks):
+            (before,) = session.publish(2 * tick, first)
+            results = reference.execute_batch(batch)
+            (after,) = session.publish(2 * tick + 1, second)
+            expected.append((before, results, after))
+
+        async def main():
+            served_results = []
+            async with AsyncDatabase(database) as served:
+                for tick, (first, batch, second) in enumerate(ticks):
+                    served_results.append(
+                        await asyncio.gather(
+                            served.publish(2 * tick, first),
+                            served.query_many(batch),
+                            served.publish(2 * tick + 1, second),
+                        )
+                    )
+                return served_results, served.stats
+
+        served_results, stats = asyncio.run(main())
+        assert stats.ticks == len(ticks)
+        assert stats.queries == 3 * len(ticks)
+        for got, want in zip(served_results, expected):
+            assert got[0].matches.tobytes() == want[0].matches.tobytes()
+            assert got[2].matches.tobytes() == want[2].matches.tobytes()
+            for result, reference_result in zip(got[1], want[1]):
+                assert result.ids.tobytes() == reference_result.ids.tobytes()
+                assert (
+                    result.execution.core_counters()
+                    == reference_result.execution.core_counters()
+                )
 
 
 class TestPublishDuringChurn:

@@ -13,7 +13,9 @@ from repro.api import (
     create_backend,
     create_router,
 )
+from repro.api.protocol import COST_COUNTERS, PackedResults, QueryResult
 from repro.api.sharding import router_from_manifest
+from repro.core.statistics import QueryExecution
 from repro.geometry.box import HyperRectangle
 
 DIMENSIONS = 4
@@ -202,6 +204,40 @@ class TestRoutedLifecycle:
         unsupporting = ShardedDatabase.create(["ss", "rs"], DIMENSIONS)
         with pytest.raises(UnsupportedOperation):
             unsupporting.reorganize()
+
+
+class TestPackedResults:
+    """The array form shard replies are gathered in."""
+
+    @staticmethod
+    def result(ids, base):
+        counters = dict(zip(COST_COUNTERS, range(base, base + len(COST_COUNTERS))))
+        return QueryResult(np.array(ids, dtype=np.int64), QueryExecution(**counters, wall_time_ms=0.5))
+
+    def test_counter_columns_follow_the_execution_fields(self):
+        fields = list(QueryExecution.__dataclass_fields__)
+        assert fields == list(COST_COUNTERS) + ["wall_time_ms"]
+
+    def test_pack_unpack_round_trip(self):
+        results = [self.result([5, 2], 1), self.result([], 10), self.result([7], 20)]
+        packed = PackedResults.pack(results)
+        assert packed.n_queries == 3
+        assert packed.offsets.tolist() == [0, 2, 2, 3]
+        for got, want in zip(packed.unpack(), results):
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.execution == want.execution
+        assert PackedResults.pack([]).unpack() == []
+
+    def test_gather_sorts_ids_per_query_and_sums_counters(self):
+        shard_a = PackedResults.pack([self.result([9, 1], 1), self.result([], 2)])
+        shard_b = PackedResults.pack([self.result([4], 3), self.result([8, 3], 4)])
+        merged = PackedResults.gather([shard_a, shard_b]).unpack()
+        assert [result.ids.tolist() for result in merged] == [[1, 4, 9], [3, 8]]
+        for position, result in enumerate(merged):
+            expected = self.result([], 1 + position).execution.merge(
+                self.result([], 3 + position).execution
+            )
+            assert result.execution == expected
 
 
 class TestScatterGather:

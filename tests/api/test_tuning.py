@@ -78,7 +78,7 @@ class TestWorkloadAccounting:
     def test_per_shard_counters_sum_to_the_merged_view(self):
         """The attribution fix: per-shard sums must rebuild the merged total.
 
-        ``_merge`` element-wise-sums the counters into one
+        The gather element-wise-sums the counters into one
         :class:`QueryExecution`; the accounts keep the same numbers split
         by shard of origin, so summing them must reproduce the gathered
         totals exactly — under mixed backends whose counter mixes differ.

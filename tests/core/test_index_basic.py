@@ -64,6 +64,23 @@ class TestInsertion:
         with pytest.raises(KeyError):
             index.insert(1, random_box(rng))
 
+    def test_nan_box_is_rejected_before_it_reaches_the_index(self, rng):
+        """A NaN coordinate compares False with everything, so a NaN box in
+        a cluster breaks its signature invariant; the box is refused."""
+        index = make_index(dimensions=4)
+        index.bulk_load((object_id, random_box(rng, 4)) for object_id in range(2_000))
+        for _ in range(300):
+            index.execute(random_box(rng, 4, max_extent=0.2))
+        assert index.n_clusters > 1
+        lows = random_box(rng, 4).lows.copy()
+        lows[2] = np.nan
+        with pytest.raises(ValueError, match="NaN coordinate in dimension 2"):
+            index.insert(2_000, HyperRectangle(lows, np.full(4, 0.9)))
+        with pytest.raises(ValueError, match="NaN"):
+            index.insert(2_000, *HyperRectangle.from_table([np.append(lows, np.ones(4))]))
+        assert 2_000 not in index
+        index.check_invariants()
+
     def test_wrong_dimensionality_rejected(self, rng):
         index = make_index(dimensions=3)
         with pytest.raises(ValueError):

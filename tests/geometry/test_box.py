@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.box import HyperRectangle
+from repro.geometry.box import HyperRectangle, box_table
 from repro.geometry.interval import Interval
 
 
@@ -38,6 +38,53 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             HyperRectangle([], [])
+
+    @pytest.mark.parametrize("side", ["lows", "highs"])
+    def test_nan_coordinate_rejected_naming_its_dimension(self, side):
+        lows, highs = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+        (lows if side == "lows" else highs)[1] = float("nan")
+        with pytest.raises(ValueError, match="NaN coordinate in dimension 1"):
+            HyperRectangle(lows, highs)
+
+
+class TestTables:
+    def test_round_trip(self):
+        boxes = [HyperRectangle([0.1, 0.2], [0.4, 0.6]), HyperRectangle.from_point([0.3, 0.7])]
+        table = box_table(boxes, 2)
+        assert table.shape == (2, 4)
+        assert table[0].tolist() == [0.1, 0.2, 0.4, 0.6]
+        assert HyperRectangle.from_table(table) == boxes
+
+    def test_boxes_are_read_only_copies(self):
+        table = np.array([[0.1, 0.2, 0.4, 0.6]])
+        (box,) = HyperRectangle.from_table(table)
+        table[0, 0] = 0.0
+        assert box.lows.tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError):
+            box.lows[0] = 0.5
+
+    def test_empty_table(self):
+        assert HyperRectangle.from_table(np.empty((0, 6))) == []
+        assert box_table([], 3).shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 0), (1, 2, 2)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            HyperRectangle.from_table(np.zeros(shape))
+
+    def test_nan_rejected_naming_box_and_dimension(self):
+        table = np.array([[0.1, 0.2, 0.4, 0.6], [0.1, 0.2, 0.4, float("nan")]])
+        with pytest.raises(ValueError, match="box 1: NaN coordinate in dimension 1"):
+            HyperRectangle.from_table(table)
+
+    def test_inverted_extent_rejected(self):
+        table = np.array([[0.5, 0.2, 0.4, 0.6]])
+        with pytest.raises(ValueError, match="box 0: invalid extent in dimension 0"):
+            HyperRectangle.from_table(table)
+
+    def test_box_table_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="box 1 has 3 dimensions, expected 2"):
+            box_table([HyperRectangle.unit(2), HyperRectangle.unit(3)], 2)
 
     def test_internal_arrays_are_read_only(self):
         box = HyperRectangle([0.1], [0.4])
