@@ -99,7 +99,7 @@ from repro.api.protocol import (
     SpatialBackend,
 )
 from repro.api.sharding import ShardedDatabase, commit_store, router_from_manifest
-from repro.geometry.box import HyperRectangle
+from repro.geometry.box import HyperRectangle, check_unit_domain
 from repro.geometry.relations import SpatialRelation
 from repro.storage.wal import (
     OP_BULK_LOAD,
@@ -696,6 +696,9 @@ class DurableBackend(BackendBase):
                 f"object has {obj.dimensions} dimensions, database expects "
                 f"{self.dimensions}"
             )
+        # Durable databases hold AC indexes only (persistence), and those
+        # refuse objects outside the unit domain.
+        check_unit_domain(object_id, obj)
         if (batch_seen is not None and object_id in batch_seen) or object_id in self._inner:
             raise KeyError(f"object {object_id} is already stored")
 

@@ -10,8 +10,9 @@ This sub-package implements Sections 3–6 of the paper:
 * :mod:`repro.core.cost_model` — the ``T = A + p (B + n C)`` cost model and
   its memory / disk parameterisations.
 * :mod:`repro.core.benefit` — materialization and merging benefit functions.
-* :mod:`repro.core.cluster` / :mod:`repro.core.object_store` — materialized
-  clusters and their member object storage.
+* :mod:`repro.core.cluster` / :mod:`repro.core.arena` — materialized
+  clusters and the column-major member arena they store their members in
+  (:mod:`repro.core.object_store` is the sequential scan's row store).
 * :mod:`repro.core.reorganize` — merge / split reorganization algorithms.
 * :mod:`repro.core.index` — :class:`AdaptiveClusteringIndex`, the public
   access method.

@@ -4,7 +4,8 @@ A :class:`Cluster` groups member objects that are accessed and checked
 together during spatial selections.  It carries:
 
 * its **signature** (the grouping criterion, Section 4),
-* its member objects (an :class:`~repro.core.object_store.ObjectStore`),
+* its member objects, a :class:`~repro.core.arena.MemberSegment` of the
+  index's column-major member arena,
 * the two **performance indicators** of the paper — the number of member
   objects and the number of queries that explored the cluster over the
   current statistics window,
@@ -20,9 +21,9 @@ from typing import Optional, Set
 
 import numpy as np
 
+from repro.core.arena import MemberArena
 from repro.core.candidates import CandidateSet
 from repro.core.clustering_function import ClusteringFunction
-from repro.core.object_store import ObjectStore
 from repro.core.signature import ClusterSignature
 from repro.geometry.box import HyperRectangle
 
@@ -46,15 +47,16 @@ class Cluster:
         signature: ClusterSignature,
         clustering_function: ClusteringFunction,
         parent_id: Optional[int] = None,
-        initial_capacity: int = 8,
         creation_query: int = 0,
+        arena: Optional[MemberArena] = None,
     ) -> None:
         #: Unique identifier of the cluster within its index.
         self.cluster_id = cluster_id
         #: The cluster signature (grouping criterion).
         self.signature = signature
-        #: Member objects, stored contiguously.
-        self.store = ObjectStore(signature.dimensions, capacity=initial_capacity)
+        #: Member objects: one contiguous segment of *arena* (the index's
+        #: member arena; a cluster on its own gets an arena of its own).
+        self.store = (arena or MemberArena(signature.dimensions)).segment(cluster_id)
         #: Statistics of the virtual candidate sub-clusters.
         self.candidates = CandidateSet.generate(signature, clustering_function)
         #: Identifier of the parent cluster (``None`` for the root).
@@ -145,8 +147,7 @@ class Cluster:
     def add_object(self, object_id: int, obj: HyperRectangle) -> bool:
         """Insert a member (which must match the signature).
 
-        Returns ``True`` when the member store had to grow (a cluster
-        relocation in the storage layer).
+        Returns ``True`` when the member segment had to relocate.
         """
         grew = self.store.append(object_id, obj)
         self.candidates.record_insertion(obj)

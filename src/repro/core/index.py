@@ -48,7 +48,6 @@ therefore equals the value of a loop that counts every query on the spot.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -56,6 +55,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.api.protocol import BackendBase, Capabilities, QueryResult
+from repro.core.arena import MemberArena
 from repro.core.cluster import Cluster
 from repro.core.clustering_function import ClusteringFunction, interval_edges
 from repro.core.config import AdaptiveClusteringConfig
@@ -63,7 +63,7 @@ from repro.core.cost_model import StorageScenario
 from repro.core.reorganize import ReorganizationReport, Reorganizer
 from repro.core.signature import ClusterSignature
 from repro.core.statistics import ClusterSnapshot, IndexSnapshot, QueryExecution
-from repro.geometry.box import HyperRectangle
+from repro.geometry.box import HyperRectangle, check_unit_domain
 from repro.geometry.relations import SpatialRelation
 from repro.storage import StorageBackend, storage_for_scenario
 
@@ -191,10 +191,17 @@ class AdaptiveClusteringIndex(BackendBase):
         self._visit_log: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._pending_visits = 0
         self._pending_relation: Optional[SpatialRelation] = None
-        # Transposed concatenation of every cluster's member bounds, kept
-        # contiguous per dimension so the verification cascade gathers from
-        # cache-friendly rows.  Invalidated by any member mutation.
-        self._member_matrix: Optional[Tuple[np.ndarray, ...]] = None
+        # Every member, once: a column-major arena, contiguous per
+        # dimension, in which each cluster owns one segment of columns (see
+        # repro.core.arena).  ``_member_segments`` stacks the segments'
+        # ``[start, capacity, size]`` in signature-matrix row order and each
+        # segment's bounds are a row view of it, so writes keep it current
+        # and the verification cascade reads every cluster's columns at once.
+        self._arena = MemberArena(config.dimensions)
+        self._member_segments: Optional[np.ndarray] = None
+        # False while lazily opened clusters may hold members outside the
+        # arena (see _load_members).
+        self._members_resident = True
 
         root = self._new_cluster(ClusterSignature.root(config.dimensions), parent=None)
         self._root_id = root.cluster_id
@@ -357,11 +364,9 @@ class AdaptiveClusteringIndex(BackendBase):
         if object_id in self._object_locations:
             raise KeyError(f"object {object_id} is already indexed")
         target = self._select_insertion_cluster(obj)
-        grew = target.add_object(object_id, obj)
+        target.add_object(object_id, obj)
         self._object_locations[object_id] = target.cluster_id
         self._storage.on_objects_appended(target.cluster_id, 1)
-        self._sync_member_columns(target)
-        del grew  # in-memory growth is tracked by the storage layout instead
 
     def bulk_load(self, objects: Iterable[Tuple[int, HyperRectangle]]) -> int:
         """Insert many objects at once.
@@ -403,7 +408,6 @@ class AdaptiveClusteringIndex(BackendBase):
             for object_id in ids[member_rows]:
                 self._object_locations[int(object_id)] = target.cluster_id
             self._storage.on_objects_appended(target.cluster_id, count)
-        self._invalidate_member_matrix()
         return len(pairs)
 
     def delete(self, object_id: int) -> bool:
@@ -419,7 +423,6 @@ class AdaptiveClusteringIndex(BackendBase):
                 "not stored there"
             )
         self._storage.on_objects_removed(cluster_id, 1)
-        self._sync_member_columns(cluster)
         return True
 
     def delete_bulk(self, object_ids: Iterable[int]) -> int:
@@ -427,13 +430,13 @@ class AdaptiveClusteringIndex(BackendBase):
 
         Equivalent to calling :meth:`delete` for every identifier
         (identifiers that are not indexed are ignored), but every touched
-        cluster removes its members with one vectorised mask and rewrites
-        its member-matrix columns once for the whole batch, so churn
-        bursts — the streaming engine's unsubscribe path — do not pay a
-        per-object maintenance round-trip.  The signature and candidate
-        matrices are untouched: deletion never changes cluster signatures
-        or candidate descriptors, only member rows (dropped here) and
-        candidate object counts (patched per touched cluster).
+        cluster removes its members from its arena segment with one
+        vectorised mask, so churn bursts — the streaming engine's
+        unsubscribe path — do not pay a per-object maintenance round-trip.
+        The signature and candidate matrices are untouched: deletion never
+        changes cluster signatures or candidate descriptors, only member
+        rows (dropped here) and candidate object counts (patched per
+        touched cluster).
         """
         by_cluster: Dict[int, List[int]] = {}
         for object_id in object_ids:
@@ -452,7 +455,6 @@ class AdaptiveClusteringIndex(BackendBase):
                     "mapped to it"
                 )
             self._storage.on_objects_removed(cluster_id, count)
-            self._sync_member_columns(cluster)
             removed += count
         return removed
 
@@ -592,6 +594,7 @@ class AdaptiveClusteringIndex(BackendBase):
             )
         if not isinstance(object_id, (int, np.integer)):
             raise TypeError("object_id must be an integer")
+        check_unit_domain(object_id, obj)
 
     # ==================================================================
     # Query execution (Fig. 5)
@@ -624,8 +627,8 @@ class AdaptiveClusteringIndex(BackendBase):
         chunk holds at most ``_PAIR_BLOCK`` (query, cluster) prune-mask
         cells, and member verification walks the chunk's (query, object)
         pairs in windows of at most ``_PAIR_BLOCK`` pairs (about 8 MB of
-        temporaries), so beyond the results and the member matrix the
-        working set does not grow with the workload.
+        temporaries), so beyond the results the working set does not grow
+        with the workload.
 
         Candidate counters ``q(s)`` are not updated here: every chunk logs
         its visits and the log is folded in once, before the next read of
@@ -739,9 +742,11 @@ class AdaptiveClusteringIndex(BackendBase):
             else:
                 np.logical_and(explore, admits, out=explore)
 
-        member_lows_t, member_highs_t, member_ids, member_starts, sizes = (
-            self._ensure_member_matrix()
-        )
+        if not self._members_resident:
+            self._load_members()
+        arena = self._arena
+        member_lows_t, member_highs_t, member_ids = arena.lows, arena.highs, arena.ids
+        member_starts, sizes = self._member_segments[:, 0], self._member_segments[:, 2]
         groups_explored = explore.sum(axis=1)
         objects_verified = explore @ sizes
 
@@ -1040,10 +1045,8 @@ class AdaptiveClusteringIndex(BackendBase):
         self._candidate_grid = None
         self._cluster_statistics = None
         self._pending_visits = 0
-        self._member_matrix = None
-
-    def _invalidate_member_matrix(self) -> None:
-        self._member_matrix = None
+        self._member_segments = None
+        self._members_resident = False
 
     def _ensure_signature_matrix(self) -> Tuple[np.ndarray, ...]:
         """The stacked signature arrays, built or spliced up to date."""
@@ -1138,22 +1141,24 @@ class AdaptiveClusteringIndex(BackendBase):
             ),
         )
         self._signature_rows_stale = False
-        self._member_matrix = None
 
     def _adopt_statistics(self, query_counts: np.ndarray, cluster_statistics: np.ndarray) -> None:
-        """Make the stacked buffers back every cluster's ``q(s)`` and ``q(c)``.
+        """Make the stacked buffers back every cluster's ``q(s)``, ``q(c)`` and segment.
 
         Each cluster's ``candidates.query_counts`` becomes a slice view of
-        *query_counts* and its ``statistics`` a row view of
-        *cluster_statistics*, so batch execution updates the counters of
-        all explored clusters with one vectorised add (and the fold) while
-        per-query execution keeps writing through the views.  Every
-        candidate set is also hooked to :meth:`_fold_statistics`, so
-        reading its ``q(s)`` applies the pending visits first.
+        *query_counts*, its ``statistics`` a row view of
+        *cluster_statistics* and its arena segment's bounds a row view of
+        a fresh ``_member_segments``, so batch execution updates the
+        counters of all explored clusters with one vectorised add (and the
+        fold) and reads every segment at once, while per-cluster writes go
+        through the views.  Every candidate set is also hooked to
+        :meth:`_fold_statistics`, so reading its ``q(s)`` applies the
+        pending visits first.
         """
         offsets = self._candidate_offsets
         self._candidate_query_counts = query_counts
         self._cluster_statistics = cluster_statistics
+        self._member_segments = np.zeros((len(self._signature_cluster_ids), 3), dtype=np.int64)
         fold = self._fold_statistics
         for row, cluster_id in enumerate(self._signature_cluster_ids):
             cluster = self._clusters.get(cluster_id)
@@ -1165,9 +1170,13 @@ class AdaptiveClusteringIndex(BackendBase):
             candidates.query_counts = query_counts[int(offsets[row]) : int(offsets[row + 1])]
             candidates.fold_pending = fold
             cluster.statistics = cluster_statistics[row]
+            # Through the arena: a lazy cluster's ``store`` would load it.
+            segment = self._arena.segments[cluster_id]
+            self._member_segments[row] = segment.bounds
+            segment.bounds = self._member_segments[row]
 
     def _candidate_views_valid(self) -> bool:
-        """True while every cluster's ``q(s)`` and ``q(c)`` still alias the buffers.
+        """True while every cluster's ``q(s)``, ``q(c)`` and segment alias the buffers.
 
         An invariant of the stacked matrices (checked by
         :meth:`check_invariants`): if a view were replaced by an
@@ -1189,76 +1198,9 @@ class AdaptiveClusteringIndex(BackendBase):
                 return False
             if cluster.statistics.base is not cluster_statistics:
                 return False
+            if self._arena.segments[cluster_id].bounds.base is not self._member_segments:
+                return False
         return True
-
-    def _ensure_member_matrix(self) -> Tuple[np.ndarray, ...]:
-        """Concatenated per-dimension member bounds of all clusters.
-
-        Returns ``(lows_t, highs_t, ids, starts, sizes)`` where ``lows_t`` /
-        ``highs_t`` are ``(Nd, columns)`` contiguous arrays, ``ids`` the
-        matching identifiers, and ``starts[row]`` and ``sizes[row]`` the
-        first column and the member count of the cluster at signature-matrix
-        row ``row``.  Each cluster owns as many columns as its store has
-        slots, so inserts and deletes rewrite its columns in place
-        (:meth:`_sync_member_columns`) instead of rebuilding the matrix.
-        """
-        if self._member_matrix is None:
-            clusters = [self._clusters[cid] for cid in self._signature_cluster_ids]
-            sizes = np.fromiter(
-                (cluster.n_objects for cluster in clusters),
-                dtype=np.int64,
-                count=len(clusters),
-            )
-            widths = np.fromiter(
-                (cluster.store.capacity for cluster in clusters),
-                dtype=np.int64,
-                count=len(clusters),
-            )
-            starts = np.cumsum(widths) - widths
-            total = int(widths.sum())
-            # Each cluster's rows are transposed straight into place: no
-            # (n_objects, Nd) concatenation to transpose afterwards.
-            lows_t = np.empty((self.dimensions, total), dtype=np.float64)
-            highs_t = np.empty((self.dimensions, total), dtype=np.float64)
-            ids = np.empty(total, dtype=np.int64)
-            for cluster, start, size in zip(clusters, starts.tolist(), sizes.tolist()):
-                if size:
-                    store = cluster.store
-                    lows_t[:, start : start + size] = store.lows.T
-                    highs_t[:, start : start + size] = store.highs.T
-                    ids[start : start + size] = store.ids
-            self._member_matrix = (lows_t, highs_t, ids, starts, sizes)
-        return self._member_matrix
-
-    def _sync_member_columns(self, cluster: Cluster) -> None:
-        """Rewrite the member-matrix columns of *cluster* after an insert or delete.
-
-        Only the store rows that changed are copied: the appended members
-        (an insert never moves the others), or the rows a swap-remove or a
-        bulk removal refilled.  A cluster that outgrew its columns drops
-        the matrix, and the next query rebuilds it.
-        """
-        if self._member_matrix is None:
-            return
-        lows_t, highs_t, ids, starts, sizes = self._member_matrix
-        row = bisect_left(self._signature_cluster_ids, cluster.cluster_id)
-        store = cluster.store
-        old, new = int(sizes[row]), len(store)
-        start = int(starts[row])
-        end = int(starts[row + 1]) if row + 1 < len(starts) else ids.shape[0]
-        if start + new > end:
-            self._member_matrix = None
-            return
-        if new > old:
-            rows: "slice | np.ndarray" = slice(old, new)
-            columns: "slice | np.ndarray" = slice(start + old, start + new)
-        else:
-            rows = (ids[start : start + new] != store.ids).nonzero()[0]
-            columns = rows + start
-        lows_t[:, columns] = store.lows[rows].T
-        highs_t[:, columns] = store.highs[rows].T
-        ids[columns] = store.ids[rows]
-        sizes[row] = new
 
     def _ensure_candidate_grid(self) -> Optional[Tuple[np.ndarray, ...]]:
         """Grid decomposition of every cluster's candidate family.
@@ -1367,14 +1309,19 @@ class AdaptiveClusteringIndex(BackendBase):
         """
         # The reorganizer reads candidate object counts, which lazily
         # loaded clusters only gain once their member arrays are resident.
-        for cluster in self._clusters.values():
-            cluster.ensure_materialized()
+        self._load_members()
         report = self._reorganizer.reorganize(self)
         if self._signature_matrix is not None:
             self._ensure_signature_matrix()
         self._queries_since_reorganization = 0
         self._reorganization_count += 1
         return report
+
+    def _load_members(self) -> None:
+        """Load every lazily opened cluster's members into its arena segment."""
+        for cluster in self._clusters.values():
+            cluster.ensure_materialized()
+        self._members_resident = True
 
     def reset_statistics(self) -> None:
         """Start a fresh statistics window for every cluster."""
@@ -1391,6 +1338,7 @@ class AdaptiveClusteringIndex(BackendBase):
             clustering_function=self._clustering_function,
             parent_id=parent.cluster_id if parent is not None else None,
             creation_query=self._total_queries,
+            arena=self._arena,
         )
         self._next_cluster_id += 1
         self._clusters[cluster.cluster_id] = cluster
@@ -1398,7 +1346,6 @@ class AdaptiveClusteringIndex(BackendBase):
             parent.add_child(cluster.cluster_id)
         self._storage.on_cluster_created(cluster.cluster_id, 0)
         self._signature_rows_stale = True
-        self._invalidate_member_matrix()
         return cluster
 
     def _materialize_candidate(self, cluster: Cluster, candidate_index: int) -> Cluster:
@@ -1433,10 +1380,10 @@ class AdaptiveClusteringIndex(BackendBase):
             parent.add_child(child_id)
         parent.remove_child(cluster.cluster_id)
         del self._clusters[cluster.cluster_id]
+        self._arena.release(cluster.cluster_id)
         self._storage.on_cluster_removed(cluster.cluster_id)
         self._storage.on_cluster_resized(parent.cluster_id, parent.n_objects)
         self._signature_rows_stale = True
-        self._invalidate_member_matrix()
         return parent
 
     # ==================================================================
@@ -1489,8 +1436,10 @@ class AdaptiveClusteringIndex(BackendBase):
 
         Checks that every object is stored exactly where the location map
         says, that cluster members match their signatures, that candidate
-        statistics are consistent, that parent/child links are symmetric and
-        that child signatures are contained in their parent's.
+        statistics are consistent, that parent/child links are symmetric,
+        that child signatures are contained in their parent's and that the
+        member arena's segments are disjoint and in bounds, with at least
+        half of the arena live.
         """
         stored_total = 0
         for cluster in self._clusters.values():
@@ -1534,24 +1483,25 @@ class AdaptiveClusteringIndex(BackendBase):
         if self._root_id not in self._clusters:
             raise AssertionError("the root cluster disappeared")
         if self._candidate_query_counts is not None and not self._candidate_views_valid():
-            raise AssertionError("q(s) or q(c) views no longer alias the shared buffers")
+            raise AssertionError("q(s), q(c) or segment views no longer alias the shared buffers")
+        if self._arena.segments.keys() != self._clusters.keys():
+            raise AssertionError("arena segments and materialized clusters differ")
+        self._arena.check_invariants()
 
     def __getstate__(self) -> Dict[str, object]:
         """State to pickle or deep-copy: folded statistics, no derived buffers.
 
         Pending visits are folded first, so the copy carries exact ``q(s)``
         and an empty log, and lazily opened clusters are materialized.  The
-        member matrix is a second copy of every member's bounds, rebuilt
-        lazily by the next batch query, and the log buffers are reallocated
-        on first use, so copies and shard state files carry neither.
+        member arena pickles packed (see :class:`MemberArena`), so copies
+        and shard state files carry no holes, and the log buffers are
+        reallocated on first use.
         """
         self._fold_statistics()
         # A lazily opened cluster loads its members now: the copy must not
         # depend on a page file the store may later compact away.
-        for cluster in self._clusters.values():
-            cluster.ensure_materialized()
+        self._load_members()
         state = self.__dict__.copy()
-        state["_member_matrix"] = None
         state["_visit_log"] = None
         return state
 
@@ -1559,10 +1509,10 @@ class AdaptiveClusteringIndex(BackendBase):
         """Restore a pickled or deep-copied index.
 
         Copying (``pickle``, ``copy.deepcopy``, a process shard worker
-        loading its state) duplicates the per-cluster ``q(s)`` and ``q(c)``
-        views into independent arrays and drops the fold hooks; pointing
-        them back into the copied shared buffers keeps the batch engine's
-        single-add update path valid on the copy.
+        loading its state) duplicates the per-cluster ``q(s)``, ``q(c)``
+        and segment-bound views into independent arrays and drops the fold
+        hooks; pointing them back into stacked buffers keeps the batch
+        engine's single-add update path valid on the copy.
         """
         self.__dict__.update(state)
         if self._candidate_query_counts is not None:

@@ -1,19 +1,16 @@
-"""Dynamic column store for the member objects of one cluster.
+"""Row-major object store of the sequential-scan baseline.
 
-Each cluster stores its members contiguously — the paper relies on this to
-benefit from sequential memory / disk access.  :class:`ObjectStore` keeps the
-member identifiers and bounds in pre-allocated NumPy arrays with spare
-capacity at the end (the *reserved slots* of Section 6) so insertions rarely
-require re-allocation, and exposes the bulk views the query executor and the
-reorganizer need.  Removals that leave a store less than half full shrink it
-back to the growth factor's headroom, so the splits and merges that move
-members out do not leave stores mostly empty (the paper targets a slot
-utilisation of at least 0.7).
+:class:`ObjectStore` keeps object identifiers and bounds in pre-allocated
+NumPy arrays with spare capacity at the end, so insertions rarely
+re-allocate, and removals that leave it less than half full shrink it back
+to the growth factor's headroom.  The sequential scan reads its contiguous
+rows.  The AC index does not use it: its clusters own segments of one
+column-major member arena (:mod:`repro.core.arena`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -76,27 +73,6 @@ class ObjectStore:
         """View of the member upper bounds, shape ``(len(self), Nd)``."""
         return self._highs[: self._size]
 
-    def utilization(self) -> float:
-        """Fraction of allocated slots in use (the paper targets >= 0.7)."""
-        if self.capacity == 0:
-            return 1.0
-        return self._size / self.capacity
-
-    def object_at(self, row: int) -> Tuple[int, HyperRectangle]:
-        """Return ``(object_id, box)`` for the member stored at *row*."""
-        if not 0 <= row < self._size:
-            raise IndexError(f"row {row} out of range")
-        return int(self._ids[row]), HyperRectangle(self._lows[row], self._highs[row])
-
-    def iter_objects(self) -> Iterable[Tuple[int, HyperRectangle]]:
-        """Iterate over ``(object_id, box)`` pairs (test/diagnostic helper)."""
-        for row in range(self._size):
-            yield self.object_at(row)
-
-    def contains_id(self, object_id: int) -> bool:
-        """True when *object_id* is currently stored."""
-        return bool(np.any(self.ids == object_id))
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -120,27 +96,6 @@ class ObjectStore:
         self._lows[row] = obj.lows
         self._highs[row] = obj.highs
         self._size += 1
-        return grew
-
-    def extend(self, ids: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> bool:
-        """Append a batch of members given as arrays.
-
-        Returns ``True`` when the arrays had to grow.
-        """
-        count = int(ids.shape[0])
-        if count == 0:
-            return False
-        if lows.shape != (count, self._dimensions) or highs.shape != (
-            count,
-            self._dimensions,
-        ):
-            raise ValueError("bounds arrays must have shape (n, dimensions)")
-        grew = self._ensure_capacity(self._size + count)
-        end = self._size + count
-        self._ids[self._size : end] = ids
-        self._lows[self._size : end] = lows
-        self._highs[self._size : end] = highs
-        self._size = end
         return grew
 
     def remove_mask(self, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,27 +137,6 @@ class ObjectStore:
         self._maybe_shrink()
         return box
 
-    def drain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Remove and return all members (used when merging into the parent)."""
-        ids = self.ids.copy()
-        lows = self.lows.copy()
-        highs = self.highs.copy()
-        self._size = 0
-        self._maybe_shrink()
-        return ids, lows, highs
-
-    def clear(self) -> None:
-        """Drop every member without returning them."""
-        self._size = 0
-        self._maybe_shrink()
-
-    # ------------------------------------------------------------------
-    # Capacity management
-    # ------------------------------------------------------------------
-    def reserve(self, capacity: int) -> None:
-        """Grow the allocation so at least *capacity* members fit."""
-        self._ensure_capacity(capacity)
-
     def _ensure_capacity(self, needed: int) -> bool:
         if needed <= self.capacity:
             return False
@@ -233,9 +167,3 @@ class ObjectStore:
         self._ids = new_ids
         self._lows = new_lows
         self._highs = new_highs
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"ObjectStore(size={self._size}, capacity={self.capacity}, "
-            f"dimensions={self._dimensions})"
-        )

@@ -29,6 +29,20 @@ def _bounds_error(lows: np.ndarray, highs: np.ndarray, dimension: int) -> str:
     return f"invalid extent in dimension {dimension}: high ({high}) < low ({low})"
 
 
+def check_unit_domain(object_id: int, box: "HyperRectangle") -> None:
+    """Refuse an indexed object that leaves the unit domain ``[0, 1]``.
+
+    The AC index's cluster signatures partition the unit domain, so a
+    member outside it would match no signature, not even the root's.
+    """
+    outside = (box.lows < 0.0) | (box.highs > 1.0)
+    if outside.any():
+        raise ValueError(
+            f"object {object_id} leaves the unit domain [0, 1] in dimension "
+            f"{int(np.argmax(outside))}"
+        )
+
+
 class HyperRectangle:
     """A closed axis-aligned box in ``Nd`` dimensions.
 

@@ -219,6 +219,7 @@ def repair_store(
     index = AdaptiveClusteringIndex(config=config)
     auto_root_id = index.root.cluster_id
     index._storage.on_cluster_removed(auto_root_id)
+    index._arena.release(auto_root_id)
     index._clusters.clear()
     index._object_locations.clear()
 
@@ -259,6 +260,7 @@ def repair_store(
             clustering_function=index._clustering_function,
             parent_id=entry.parent_id,
             creation_query=entry.creation_query,
+            arena=index._arena,
         )
         if members is not None:
             ids, lows, highs = members

@@ -53,7 +53,8 @@ Lazy loading
 
 :meth:`PagedStore.load_index` can defer the member arrays: identifiers
 are read eagerly (the index needs its object directory up front), member
-bounds load on first touch of ``cluster.store`` via :class:`LazyCluster`.
+bounds load into the cluster's arena segment on first touch of
+``cluster.store`` via :class:`LazyCluster`.
 Page reads and writes are charged to the index's storage backend through
 :meth:`~repro.storage.base.StorageBackend.on_pages_read` /
 ``on_pages_written`` so the simulated cost models price page I/O.
@@ -387,14 +388,15 @@ MembersLoader = Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class LazyCluster(Cluster):
-    """A cluster whose member arrays load from the page file on first touch.
+    """A cluster whose members load from the page file on first touch.
 
     Identifiers are already known (read eagerly at open); the bounds blob
-    is fetched — and candidate object counts recomputed — the first time
-    anything touches ``self.store``.  Every mutation path goes through the
-    store, so an unmaterialized lazy cluster is guaranteed unchanged since
-    its last commit; :meth:`PagedStore.commit` exploits that to keep it
-    clean without reading a byte.
+    is fetched into the cluster's arena segment — and candidate object
+    counts recomputed — the first time anything touches ``self.store``.
+    Every mutation path goes through the store, so an unmaterialized lazy
+    cluster is guaranteed unchanged since its last commit;
+    :meth:`PagedStore.commit` exploits that to keep it clean without
+    reading a byte.
     """
 
     __slots__ = ("_store", "_members_loader", "_pending_count", "source_pagefile", "source_extents")
@@ -406,6 +408,7 @@ class LazyCluster(Cluster):
         clustering_function: Any,
         parent_id: Optional[int] = None,
         creation_query: int = 0,
+        arena: Any = None,
         *,
         members_loader: MembersLoader,
         n_objects: int,
@@ -426,6 +429,7 @@ class LazyCluster(Cluster):
             clustering_function=clustering_function,
             parent_id=parent_id,
             creation_query=creation_query,
+            arena=arena,
         )
         self._members_loader = members_loader
 
@@ -985,6 +989,7 @@ class PagedStore:
         # full cluster set, including its own root.
         auto_root_id = index.root.cluster_id
         index._storage.on_cluster_removed(auto_root_id)
+        index._arena.release(auto_root_id)
         index._clusters.clear()
         index._object_locations.clear()
 
@@ -1028,6 +1033,7 @@ class PagedStore:
                     clustering_function=index._clustering_function,
                     parent_id=entry.parent_id,
                     creation_query=entry.creation_query,
+                    arena=index._arena,
                     members_loader=_make_members_loader(
                         pagefile_path,
                         entry.members,
@@ -1048,6 +1054,7 @@ class PagedStore:
                     clustering_function=index._clustering_function,
                     parent_id=entry.parent_id,
                     creation_query=entry.creation_query,
+                    arena=index._arena,
                 )
                 members_data = _extract_blob(
                     buffer or b"",

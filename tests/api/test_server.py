@@ -155,6 +155,24 @@ class TestFailureDiscipline:
             assert again["ok"] is True
             assert again["serving"]["subscribes"] == 0
 
+    def test_out_of_domain_box_gets_error_reply_and_connection_keeps_serving(self, served):
+        handle, _ = served
+        table = np.array([[0.1, 0.1, 0.1, 0.1, 0.5, 1.5, 0.5, 0.5]])
+        header = {"op": "subscribe", "subscription_id": 10_000, "count": 1, "dimensions": 4}
+        with socket.create_connection(handle.address) as connection:
+            connection.sendall(encode_frame(header, [table.tobytes()]))
+            reply, _blobs = _recv_frame(connection)
+            assert reply["ok"] is False
+            assert reply["error"] == "ValueError"
+            assert "object 10000 leaves the unit domain [0, 1] in dimension 1" in reply["message"]
+            connection.sendall(encode_frame({"op": "stats"}))
+            again, _blobs = _recv_frame(connection)
+            assert again["ok"] is True
+            # The refused subscribe counts as served, but stored nothing.
+            assert again["serving"]["subscribes"] == 1
+        with RemoteDatabase(handle.address) as remote:
+            assert remote.query(HyperRectangle.unit(DIMENSIONS)).ids.size == 150
+
     def test_unknown_op_gets_structured_error_reply(self, served):
         handle, _ = served
         with socket.create_connection(handle.address) as connection:

@@ -2,7 +2,7 @@
 
 ``AdaptiveClusteringIndex.execute`` and ``execute_batch`` run one vectorised
 engine: blocked signature pruning, a (query, member) pair cascade over the
-member matrix and a deferred ``q(s)`` visit log.  :func:`reference_execute`
+column-major member arena and a deferred ``q(s)`` visit log.  :func:`reference_execute`
 is the per-cluster loop the index ran for one query before it had that
 engine, with every statistic updated on the spot:
 
@@ -15,8 +15,8 @@ engine, with every statistic updated on the spot:
 
 Ids come back cluster by cluster in member order, and the
 :class:`QueryExecution` counters are those of the paper's cost model.
-The loop reads member stores and candidate sets directly, never the
-engine's member matrix, pair cascade or visit log.
+The loop reads each cluster's member segment and candidate set directly,
+never the engine's stacked segment bounds, pair cascade or visit log.
 ``tests/core/test_index_query_correctness.py`` pins it to a brute-force scan.
 """
 

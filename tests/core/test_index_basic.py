@@ -81,6 +81,24 @@ class TestInsertion:
         assert 2_000 not in index
         index.check_invariants()
 
+    def test_out_of_domain_box_is_rejected_before_it_reaches_the_index(self, rng):
+        """Signatures partition [0, 1]: a member outside it matches none, so
+        the box is refused and the index is left as it was."""
+        index = make_index(dimensions=4)
+        index.bulk_load((object_id, random_box(rng, 4)) for object_id in range(2_000))
+        for _ in range(300):
+            index.execute(random_box(rng, 4, max_extent=0.2))
+        assert index.n_clusters > 1
+        outside = HyperRectangle([1.2, 0.1, 0.1, 0.1], [1.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="object 2000 leaves the unit domain .* dimension 0"):
+            index.insert(2_000, outside)
+        below = HyperRectangle([0.1, 0.1, -0.2, 0.1], [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="object 2002 leaves .* dimension 2"):
+            index.bulk_load([(2_001, random_box(rng, 4)), (2_002, below)])
+        assert index.n_objects == 2_000
+        assert 2_000 not in index and 2_001 not in index
+        index.check_invariants()
+
     def test_wrong_dimensionality_rejected(self, rng):
         index = make_index(dimensions=3)
         with pytest.raises(ValueError):

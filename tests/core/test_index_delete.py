@@ -134,12 +134,12 @@ class TestDeleteBulk:
 
 
 class TestWritesBetweenQueries:
-    """Single writes patch the member matrix in place; the answers must not change.
+    """Single writes touch one arena segment; the answers must not change.
 
     Between two queries an insert, a delete or a bulk delete rewrites only
-    the written cluster's columns of the member matrix, and a cluster that
-    outgrows its columns drops the matrix for a rebuild.  Every query of an
-    interleaved stream on one index must answer as the reference does.
+    the written cluster's segment of the member arena, and a cluster that
+    outgrows its segment relocates.  Every query of an interleaved stream
+    on one index must answer as the reference does.
     """
 
     def test_interleaved_stream_matches_reference(self, churned_index, dataset, workload):

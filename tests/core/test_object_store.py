@@ -1,4 +1,8 @@
-"""Unit tests for :mod:`repro.core.object_store`."""
+"""Unit tests for :mod:`repro.core.object_store`, the sequential scan's store.
+
+The AC index's member segments have their own tests in
+``test_member_arena.py``.
+"""
 
 import numpy as np
 import pytest
@@ -52,22 +56,6 @@ class TestAppend:
         assert len(store) == 20
         assert store.ids.tolist() == list(range(20))
 
-    def test_extend(self):
-        store = ObjectStore(2)
-        ids = np.arange(5, dtype=np.int64)
-        lows = np.zeros((5, 2))
-        highs = np.ones((5, 2))
-        store.extend(ids, lows, highs)
-        assert len(store) == 5
-        assert (
-            store.extend(np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty((0, 2))) is False
-        )
-
-    def test_extend_shape_mismatch(self):
-        store = ObjectStore(2)
-        with pytest.raises(ValueError):
-            store.extend(np.arange(3), np.zeros((3, 3)), np.ones((3, 3)))
-
 
 class TestRemoval:
     @pytest.fixture
@@ -82,7 +70,7 @@ class TestRemoval:
         assert removed is not None
         assert removed.lows[0] == pytest.approx(0.3)
         assert len(populated) == 9
-        assert not populated.contains_id(3)
+        assert 3 not in populated.ids.tolist()
 
     def test_remove_missing_id(self, populated):
         assert populated.remove_id(99) is None
@@ -104,45 +92,8 @@ class TestRemoval:
         assert len(populated) == 0
         assert ids.shape == (10,)
 
-    def test_drain(self, populated):
-        ids, lows, highs = populated.drain()
-        assert ids.shape == (10,)
-        assert len(populated) == 0
-        # Drained copies stay valid after further appends.
-        populated.append(100, box(0.0, 0.0, 1.0, 1.0))
-        assert ids.tolist() == list(range(10))
-
-    def test_clear(self, populated):
-        populated.clear()
-        assert len(populated) == 0
-
 
 class TestIntrospection:
-    def test_object_at_and_iteration(self):
-        store = ObjectStore(2)
-        store.append(7, box(0.1, 0.2, 0.3, 0.4))
-        object_id, rect = store.object_at(0)
-        assert object_id == 7
-        assert rect == box(0.1, 0.2, 0.3, 0.4)
-        assert list(store.iter_objects()) == [(7, rect)]
-
-    def test_object_at_out_of_range(self):
-        store = ObjectStore(2)
-        with pytest.raises(IndexError):
-            store.object_at(0)
-
-    def test_utilization(self):
-        store = ObjectStore(1, capacity=10)
-        assert store.utilization() == 0.0
-        for i in range(5):
-            store.append(i, box(0.1, 0.2))
-        assert 0.0 < store.utilization() <= 1.0
-
-    def test_reserve(self):
-        store = ObjectStore(2)
-        store.reserve(100)
-        assert store.capacity >= 100
-
     def test_views_reflect_mutation(self):
         store = ObjectStore(1)
         store.append(1, box(0.1, 0.2))
@@ -153,10 +104,9 @@ class TestIntrospection:
 class TestShrink:
     @staticmethod
     def filled(count):
-        store = ObjectStore(1)
-        ids = np.arange(count, dtype=np.int64)
-        bounds = np.linspace(0.0, 1.0, count)[:, None]
-        store.extend(ids, bounds, bounds)
+        store = ObjectStore(1, capacity=count)
+        for object_id, value in enumerate(np.linspace(0.0, 1.0, count)):
+            store.append(object_id, box(value, value))
         return store
 
     def test_remove_mask_below_half_shrinks_to_growth_headroom(self):
@@ -178,18 +128,10 @@ class TestShrink:
         assert store.capacity == 62
         assert sorted(store.ids.tolist()) == list(range(1, 50))
 
-    def test_drain_and_clear_release_the_slots(self):
-        store = self.filled(100)
-        ids, _, _ = store.drain()
-        assert ids.size == 100
-        assert store.capacity == 8
-        store = self.filled(100)
-        store.clear()
-        assert store.capacity == 8
-
     def test_regrowth_after_shrinking(self):
         store = self.filled(100)
         store.remove_mask(store.ids >= 10)
-        store.extend(np.arange(100, 200), np.zeros((100, 1)), np.ones((100, 1)))
+        for object_id in range(100, 200):
+            store.append(object_id, box(0.0, 1.0))
         assert len(store) == 110
         assert store.ids.tolist() == list(range(10)) + list(range(100, 200))
