@@ -515,14 +515,6 @@ class DurableBackend(BackendBase):
     # ------------------------------------------------------------------
     # Query execution (pass-through)
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Execute one query on the wrapped backend (reads are not logged)."""
-        return self._inner.execute(query, relation)
-
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],

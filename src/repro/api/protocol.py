@@ -24,9 +24,9 @@ This module makes the contract explicit:
   (bulk deletion, persistence, reorganization) and which cost-model
   counters it populates, so callers feature-detect instead of
   ``isinstance``-checking concrete classes.
-* :class:`BackendBase` — an ABC mixin deriving the convenience surface
-  (``query``, ``query_batch``) from the two primitives a backend must
-  implement: :meth:`execute` and :meth:`execute_batch`.
+* :class:`BackendBase` — an ABC mixin deriving the rest of the query
+  surface (``execute``, ``query``, ``query_batch``) from the one query
+  primitive a backend must implement: :meth:`execute_batch`.
 """
 
 from __future__ import annotations
@@ -314,25 +314,18 @@ class SpatialBackend(Protocol):
 class BackendBase(ABC):
     """ABC mixin deriving the full :class:`SpatialBackend` surface.
 
-    A backend implements the two primitives — :meth:`execute` and
-    :meth:`execute_batch` — plus the lifecycle methods, declares its
-    :class:`Capabilities` as the ``CAPABILITIES`` class attribute, and the
-    mixin supplies the id-only conveniences, a loop-based ``delete_bulk``
-    fallback and the capability-gated ``reorganize`` default.
+    A backend implements the one query primitive, :meth:`execute_batch`,
+    plus the lifecycle methods, and declares its :class:`Capabilities` as
+    the ``CAPABILITIES`` class attribute.  The mixin supplies
+    :meth:`execute` as the one-query batch, the id-only conveniences, a
+    loop-based ``delete_bulk`` fallback and the capability-gated
+    ``reorganize`` default.
     """
 
     #: Static capability declaration; concrete backends must override.
     CAPABILITIES: ClassVar[Capabilities] = Capabilities(name="base", label="?")
 
     # -- primitives (implemented by the backend) ------------------------
-    @abstractmethod
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Execute one spatial selection and return ids plus counters."""
-
     @abstractmethod
     def execute_batch(
         self,
@@ -355,6 +348,14 @@ class BackendBase(ABC):
     def n_groups(self) -> int:
         """Number of explorable groups (clusters / tree nodes / 1)."""
         return 1
+
+    def execute(
+        self,
+        query: HyperRectangle,
+        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
+    ) -> QueryResult:
+        """Execute one spatial selection: the one-query :meth:`execute_batch`."""
+        return self.execute_batch([query], relation)[0]
 
     def query(
         self,

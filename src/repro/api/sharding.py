@@ -845,14 +845,6 @@ class ShardedDatabase(BackendBase):
             router=_copy.deepcopy(self._router, memo),
         )
 
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Scatter one query to every shard: the one-query :meth:`execute_batch`."""
-        return self.execute_batch([query], relation)[0]
-
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],

@@ -31,7 +31,6 @@ from repro.core.cost_model import CostParameters, StorageScenario
 from repro.core.statistics import QueryExecution
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
-from repro.geometry.vectorized import batch_matching_mask, matching_mask
 
 #: Orphaned entries collected while condensing: ``(lows, highs, payload,
 #: level)`` — the payload is an object id at level 0 and a subtree root
@@ -512,66 +511,22 @@ class RStarTree(BackendBase):
     # ==================================================================
     # Query execution
     # ==================================================================
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Execute a spatial selection and return ids plus execution counters."""
-        relation = SpatialRelation.parse(relation)
-        if query.dimensions != self.dimensions:
-            raise ValueError(f"query has {query.dimensions} dimensions, expected {self.dimensions}")
-        start = time.perf_counter()
-        execution = QueryExecution()
-        matches: List[np.ndarray] = []
-        q_lows = query.lows
-        q_highs = query.highs
-        disk = self._cost.scenario is StorageScenario.DISK
-        object_bytes = self._cost.object_bytes
-
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            execution.groups_explored += 1
-            if disk:
-                execution.random_accesses += 1
-            if node.is_leaf:
-                execution.objects_verified += node.count
-                execution.bytes_read += node.count * object_bytes
-                if node.count:
-                    mask = matching_mask(node.entry_lows(), node.entry_highs(), query, relation)
-                    found = node.entry_ids()[mask]
-                    if found.size:
-                        matches.append(found.copy())
-                continue
-            execution.signature_checks += node.count
-            execution.bytes_read += node.count * object_bytes
-            entry_lows = node.entry_lows()
-            entry_highs = node.entry_highs()
-            if relation is SpatialRelation.CONTAINS:
-                visit = np.all((entry_lows <= q_lows) & (q_highs <= entry_highs), axis=1)
-            else:
-                visit = np.all((entry_lows <= q_highs) & (q_lows <= entry_highs), axis=1)
-            for row in np.flatnonzero(visit):
-                stack.append(node.children[int(row)])
-
-        results = np.concatenate(matches) if matches else np.empty(0, dtype=np.int64)
-        execution.results = int(results.size)
-        execution.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        return QueryResult(ids=results, execution=execution)
-
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> List[QueryResult]:
-        """Batch variant of :meth:`execute`.
+        """Execute spatial selections; ids plus execution counters per query.
 
         The tree is traversed once for the whole batch: every node is
-        visited at most once, carrying the set of queries that reach it,
-        and its entries are tested against all of those queries with one
-        broadcasted comparison.  Per-query results and counters are
-        identical to the per-query loop.
+        visited at most once, carrying the rows of the queries that reach
+        it, its entries are tested against all of those queries with one
+        broadcasted comparison, and only the children some query reaches
+        are pushed.  Children are pushed in entry order and popped last
+        first, so each query sees its nodes, and its ids come out, in the
+        order of a depth-first walk for that query alone.  Visits are
+        logged per node and summed into per-query counters once, at the
+        end.
         """
         relation = SpatialRelation.parse(relation)
         query_list = list(queries)
@@ -585,73 +540,115 @@ class RStarTree(BackendBase):
         if count == 0:
             return []
         start = time.perf_counter()
-        q_lows = np.vstack([query.lows for query in query_list])
-        q_highs = np.vstack([query.highs for query in query_list])
-        disk = self._cost.scenario is StorageScenario.DISK
-        object_bytes = self._cost.object_bytes
+        q_lows = np.array([query.lows for query in query_list])
+        q_highs = np.array([query.highs for query in query_list])
+        single = count == 1
+        if single:
+            # One query: its bounds broadcast against every entry as they are.
+            query_low, query_high = q_lows[0], q_highs[0]
 
-        groups_explored = np.zeros(count, dtype=np.int64)
-        signature_checks = np.zeros(count, dtype=np.int64)
-        objects_verified = np.zeros(count, dtype=np.int64)
-        bytes_read = np.zeros(count, dtype=np.int64)
-        matches_per_query: List[List[np.ndarray]] = [[] for _ in range(count)]
+        # (query rows, node entries) of every visit, split by node kind.
+        internal_rows: List[np.ndarray] = []
+        internal_sizes: List[int] = []
+        leaf_rows: List[np.ndarray] = []
+        leaf_sizes: List[int] = []
+        found_rows: List[np.ndarray] = []
+        found_ids: List[np.ndarray] = []
 
         stack: List[Tuple[RTreeNode, np.ndarray]] = [(self._root, np.arange(count))]
         while stack:
-            node, query_rows = stack.pop()
-            groups_explored[query_rows] += 1
-            if node.is_leaf:
-                objects_verified[query_rows] += node.count
-                bytes_read[query_rows] += node.count * object_bytes
-                if node.count:
-                    mask = batch_matching_mask(
-                        node.entry_lows(),
-                        node.entry_highs(),
-                        q_lows[query_rows],
-                        q_highs[query_rows],
-                        relation,
-                    )
-                    ids = node.entry_ids()
-                    for row, hits in zip(query_rows, mask):
-                        found = ids[hits]
-                        if found.size:
-                            matches_per_query[int(row)].append(found.copy())
-                continue
-            signature_checks[query_rows] += node.count
-            bytes_read[query_rows] += node.count * object_bytes
+            node, rows = stack.pop()
+            if not single:
+                query_low = q_lows[rows, None, :]
+                query_high = q_highs[rows, None, :]
             entry_lows = node.entry_lows()
             entry_highs = node.entry_highs()
-            ql = q_lows[query_rows, None, :]
-            qh = q_highs[query_rows, None, :]
+            if node.is_leaf:
+                leaf_rows.append(rows)
+                leaf_sizes.append(node.count)
+                if not node.count:
+                    continue
+                if relation is SpatialRelation.INTERSECTS:
+                    hits = (entry_lows <= query_high) & (query_low <= entry_highs)
+                elif relation is SpatialRelation.CONTAINED_BY:
+                    hits = (query_low <= entry_lows) & (entry_highs <= query_high)
+                else:
+                    hits = (entry_lows <= query_low) & (query_high <= entry_highs)
+                hits = hits.all(axis=-1)
+                if single:
+                    found_ids.append(node.entry_ids()[hits])
+                else:
+                    hit_rows, hit_entries = hits.nonzero()
+                    found_rows.append(rows.take(hit_rows))
+                    found_ids.append(node.entry_ids().take(hit_entries))
+                continue
+            internal_rows.append(rows)
+            internal_sizes.append(node.count)
             if relation is SpatialRelation.CONTAINS:
-                visit = np.all((entry_lows[None] <= ql) & (qh <= entry_highs[None]), axis=2)
+                visit = (entry_lows <= query_low) & (query_high <= entry_highs)
             else:
-                visit = np.all((entry_lows[None] <= qh) & (ql <= entry_highs[None]), axis=2)
-            for child_row in range(node.count):
-                sub_rows = query_rows[visit[:, child_row]]
-                if sub_rows.size:
-                    stack.append((node.children[child_row], sub_rows))
+                visit = (entry_lows <= query_high) & (query_low <= entry_highs)
+            visit = visit.all(axis=-1)
+            children = node.children
+            if single:
+                stack.extend((children[row], rows) for row in np.flatnonzero(visit).tolist())
+            else:
+                for row in np.flatnonzero(visit.any(axis=0)).tolist():
+                    stack.append((children[row], rows[visit[:, row]]))
 
+        def per_query(visits: List[np.ndarray], sizes: Optional[List[int]] = None) -> np.ndarray:
+            """Each query's sum of *sizes* over its visits; its visit count without *sizes*."""
+            if not visits:
+                return np.zeros(count, dtype=np.int64)
+            rows = np.concatenate(visits)
+            weights = None
+            if sizes is not None:
+                # bincount sums weights as float64: exact below 2**53.
+                weights = np.repeat(np.array(sizes, dtype=np.float64), [r.size for r in visits])
+            return np.bincount(rows, weights=weights, minlength=count).astype(np.int64)
+
+        signature_checks = per_query(internal_rows, internal_sizes)
+        objects_verified = per_query(leaf_rows, leaf_sizes)
+        groups_explored = per_query(internal_rows + leaf_rows)
+        bytes_read = (signature_checks + objects_verified) * self._cost.object_bytes
+
+        if single:
+            ids = np.concatenate(found_ids) if found_ids else np.empty(0, dtype=np.int64)
+            bounds = np.array([0, ids.size])
+        elif found_ids:
+            hit_rows = np.concatenate(found_rows)
+            # Stable sort by query preserves each query's visit order.
+            ids = np.concatenate(found_ids).take(hit_rows.argsort(kind="stable"))
+            bounds = np.zeros(count + 1, dtype=np.int64)
+            np.bincount(hit_rows, minlength=count).cumsum(out=bounds[1:])
+        else:
+            ids = np.empty(0, dtype=np.int64)
+            bounds = np.zeros(count + 1, dtype=np.int64)
+
+        disk = self._cost.scenario is StorageScenario.DISK
         per_query_ms = (time.perf_counter() - start) * 1000.0 / count
-        results: List[QueryResult] = []
-        for row in range(count):
-            found = matches_per_query[row]
-            ids = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-            results.append(
-                QueryResult(
-                    ids=ids,
-                    execution=QueryExecution(
-                        signature_checks=int(signature_checks[row]),
-                        groups_explored=int(groups_explored[row]),
-                        objects_verified=int(objects_verified[row]),
-                        results=int(ids.size),
-                        bytes_read=int(bytes_read[row]),
-                        random_accesses=int(groups_explored[row]) if disk else 0,
-                        wall_time_ms=per_query_ms,
-                    ),
-                )
+        return [
+            QueryResult(
+                ids=ids[low:high].copy(),
+                execution=QueryExecution(
+                    signature_checks=checks,
+                    groups_explored=explored,
+                    objects_verified=verified,
+                    results=high - low,
+                    bytes_read=read,
+                    random_accesses=explored if disk else 0,
+                    wall_time_ms=per_query_ms,
+                ),
             )
-        return results
+            for checks, explored, verified, read, low, high in zip(
+                signature_checks.tolist(),
+                groups_explored.tolist(),
+                objects_verified.tolist(),
+                bytes_read.tolist(),
+                bounds[:-1].tolist(),
+                bounds[1:].tolist(),
+            )
+        ]
 
     # ==================================================================
     # Diagnostics

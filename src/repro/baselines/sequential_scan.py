@@ -8,6 +8,14 @@ dimensions (the paper's Section 7, and [Berchtold et al. 1998; Beyer et al.
 1999]).  The adaptive clustering's cost model guarantees it never performs
 worse than this baseline on average.
 
+The scan is the AC index's storage and verification with one cluster:
+its members fill one segment of a column-major
+:class:`~repro.core.arena.MemberArena`, and a batch of queries is one
+:meth:`~repro.core.arena.MemberArena.verify` call with one visit per query,
+covering the whole segment.  The kernel walks the (query, member) pairs in
+fixed windows, so a batch's working set does not grow with the batch or
+the database.
+
 The class implements the full :class:`~repro.api.protocol.SpatialBackend`
 lifecycle (via :class:`~repro.api.protocol.BackendBase`); its capability
 descriptor advertises no persistence and no reorganization — the scan has
@@ -22,12 +30,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.protocol import BackendBase, Capabilities, QueryResult
+from repro.core.arena import MemberArena
 from repro.core.cost_model import CostParameters, StorageScenario
-from repro.core.object_store import ObjectStore
 from repro.core.statistics import QueryExecution
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
-from repro.geometry.vectorized import batch_matching_mask, matching_mask
 
 
 class SequentialScan(BackendBase):
@@ -70,19 +77,19 @@ class SequentialScan(BackendBase):
         self._cost = cost or CostParameters.memory_defaults(dimensions)
         if self._cost.dimensions != dimensions:
             raise ValueError("cost parameters disagree with dimensions")
-        self._store = ObjectStore(dimensions)
+        self._members = MemberArena(dimensions).segment(0)
         self._known_ids: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     @property
     def dimensions(self) -> int:
         """Dimensionality of the data space."""
-        return self._store.dimensions
+        return self._members.arena.dimensions
 
     @property
     def n_objects(self) -> int:
         """Number of stored objects."""
-        return len(self._store)
+        return len(self._members)
 
     def __len__(self) -> int:
         return self.n_objects
@@ -97,7 +104,7 @@ class SequentialScan(BackendBase):
             raise KeyError(f"object {object_id} is already stored")
         if obj.dimensions != self.dimensions:
             raise ValueError(f"object has {obj.dimensions} dimensions, expected {self.dimensions}")
-        self._store.append(object_id, obj)
+        self._members.append(object_id, obj)
         self._known_ids[object_id] = True
 
     def bulk_load(self, objects: Iterable[Tuple[int, HyperRectangle]]) -> int:
@@ -112,7 +119,7 @@ class SequentialScan(BackendBase):
         """Remove an object; returns ``False`` when it was not stored."""
         if object_id not in self._known_ids:
             return False
-        removed = self._store.remove_id(object_id)
+        removed = self._members.remove_id(object_id)
         del self._known_ids[object_id]
         return removed is not None
 
@@ -126,8 +133,8 @@ class SequentialScan(BackendBase):
         targets = {int(object_id) for object_id in object_ids if int(object_id) in self._known_ids}
         if not targets:
             return 0
-        mask = np.isin(self._store.ids, np.fromiter(targets, dtype=np.int64))
-        removed_ids, _, _ = self._store.remove_mask(mask)
+        mask = np.isin(self._members.ids, np.fromiter(targets, dtype=np.int64))
+        removed_ids, _, _ = self._members.remove_mask(mask)
         if removed_ids.size != len(targets):  # pragma: no cover - defensive
             raise RuntimeError(
                 f"store removed {removed_ids.size} of {len(targets)} tracked objects"
@@ -138,54 +145,21 @@ class SequentialScan(BackendBase):
 
     def iter_objects(self) -> Iterator[Tuple[int, HyperRectangle]]:
         """Every stored object as ``(id, box)`` in ascending-id order."""
-        ids = self._store.ids
+        ids = self._members.ids
         if ids.size == 0:
             return
-        lows = self._store.lows
-        highs = self._store.highs
+        lows = self._members.lows
+        highs = self._members.highs
         for row in np.argsort(ids, kind="stable"):
             yield int(ids[row]), HyperRectangle(lows[row], highs[row])
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Execute the scan and return ids plus execution counters."""
-        relation = SpatialRelation.parse(relation)
-        if query.dimensions != self.dimensions:
-            raise ValueError(f"query has {query.dimensions} dimensions, expected {self.dimensions}")
-        start = time.perf_counter()
-        n = self.n_objects
-        if n:
-            mask = matching_mask(self._store.lows, self._store.highs, query, relation)
-            results = self._store.ids[mask].copy()
-        else:
-            results = np.empty(0, dtype=np.int64)
-        execution = QueryExecution(
-            signature_checks=0,
-            groups_explored=1,
-            objects_verified=n,
-            results=int(results.size),
-            bytes_read=n * self._cost.object_bytes,
-            random_accesses=1
-            if self._cost.scenario is StorageScenario.DISK and n
-            else 0,
-            wall_time_ms=(time.perf_counter() - start) * 1000.0,
-        )
-        return QueryResult(ids=results, execution=execution)
-
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],
         relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
     ) -> List[QueryResult]:
-        """Batch variant of :meth:`execute`.
-
-        Every (query, object) pair is checked with one broadcasted
-        comparison; results and counters match the per-query loop exactly.
-        """
+        """Scan every object for every query; ids in storage order plus counters."""
         relation = SpatialRelation.parse(relation)
         query_list = list(queries)
         for query in query_list:
@@ -194,36 +168,37 @@ class SequentialScan(BackendBase):
                     f"query has {query.dimensions} dimensions, expected "
                     f"{self.dimensions}"
                 )
-        if not query_list:
+        count = len(query_list)
+        if count == 0:
             return []
         start = time.perf_counter()
-        n = self.n_objects
-        if n:
-            q_lows = np.vstack([query.lows for query in query_list])
-            q_highs = np.vstack([query.highs for query in query_list])
-            mask = batch_matching_mask(
-                self._store.lows, self._store.highs, q_lows, q_highs, relation
-            )
-            ids = self._store.ids
-            results = [ids[row].copy() for row in mask]
-        else:
-            results = [np.empty(0, dtype=np.int64) for _ in query_list]
-        per_query_ms = (time.perf_counter() - start) * 1000.0 / len(query_list)
+        q_lows = np.array([query.lows for query in query_list])
+        q_highs = np.array([query.highs for query in query_list])
+        first, _, n = self._members.bounds.tolist()
+        found, bounds = self._members.arena.verify(
+            q_lows,
+            q_highs,
+            relation,
+            np.arange(count),
+            np.full(count, first, dtype=np.int64),
+            np.full(count, n, dtype=np.int64),
+        )
+        per_query_ms = (time.perf_counter() - start) * 1000.0 / count
         random_accesses = 1 if self._cost.scenario is StorageScenario.DISK and n else 0
         return [
             QueryResult(
-                ids=found,
+                ids=found[low:high].copy(),
                 execution=QueryExecution(
                     signature_checks=0,
                     groups_explored=1,
                     objects_verified=n,
-                    results=int(found.size),
+                    results=high - low,
                     bytes_read=n * self._cost.object_bytes,
                     random_accesses=random_accesses,
                     wall_time_ms=per_query_ms,
                 ),
             )
-            for found in results
+            for low, high in zip(bounds[:-1].tolist(), bounds[1:].tolist())
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

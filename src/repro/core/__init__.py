@@ -11,8 +11,9 @@ This sub-package implements Sections 3–6 of the paper:
   its memory / disk parameterisations.
 * :mod:`repro.core.benefit` — materialization and merging benefit functions.
 * :mod:`repro.core.cluster` / :mod:`repro.core.arena` — materialized
-  clusters and the column-major member arena they store their members in
-  (:mod:`repro.core.object_store` is the sequential scan's row store).
+  clusters and the column-major member arena they store their members in,
+  with the member-verification kernel every query runs.  The sequential
+  scan baseline keeps its members in one segment of an arena too.
 * :mod:`repro.core.reorganize` — merge / split reorganization algorithms.
 * :mod:`repro.core.index` — :class:`AdaptiveClusteringIndex`, the public
   access method.
@@ -25,7 +26,6 @@ from repro.core.clustering_function import ClusteringFunction
 from repro.core.candidates import CandidateSet
 from repro.core.benefit import materialization_benefit, merging_benefit
 from repro.core.cluster import Cluster
-from repro.core.object_store import ObjectStore
 from repro.core.statistics import QueryExecution, IndexSnapshot
 from repro.core.index import AdaptiveClusteringIndex
 
@@ -41,7 +41,6 @@ __all__ = [
     "materialization_benefit",
     "merging_benefit",
     "Cluster",
-    "ObjectStore",
     "QueryExecution",
     "IndexSnapshot",
     "AdaptiveClusteringIndex",

@@ -27,17 +27,40 @@ cluster's handle on its segment:
 ``segment.bounds`` is ``[start, capacity, size]``.  An index makes it a
 row view of one stacked buffer, so its queries read the columns of every
 cluster without a per-cluster loop.
+
+:meth:`MemberArena.verify` is the one member-verification kernel: it
+checks a list of (query, segment slice) visits against a relation.  The
+AC index passes one visit per explored cluster; the sequential scan keeps
+its members in one segment of its own arena and passes one visit per
+query, covering the whole segment.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.box import HyperRectangle
+from repro.geometry.relations import SpatialRelation
 
 _MIN_CAPACITY = 8
+
+#: Block size of the vectorised batch kernels, in array elements.
+#: :meth:`MemberArena.verify` walks its (query, member) pairs in windows of
+#: at most this many pairs (about 8 MB of temporaries), and the AC index
+#: sizes its query chunks, prune steps, bulk routing slices and ``q(s)``
+#: visit log by the same constant, so the working set of batch execution
+#: and bulk loading does not grow with the batch size or the database size.
+_PAIR_BLOCK = 131_072
+
+#: (dimension, pair) cells one step of the verification cascade tests at
+#: most, unless one dimension alone has more.  A small window tests every
+#: dimension in one step, since there the fixed cost of a step outweighs
+#: the pairs an early dimension would eliminate.  A window of more than half
+#: this many pairs tests one dimension per step, most selective first, so
+#: pairs that fail early never pay for the remaining dimensions.
+_VERIFY_BLOCK = 8_192
 
 #: Growth factor of segments and of the arena itself.
 _GROWTH = 1.25
@@ -48,7 +71,7 @@ def _headroom(size: int) -> int:
 
 
 class MemberArena:
-    """Column-major member storage shared by the clusters of one index."""
+    """Column-major member storage shared by the clusters of one index, or one scan."""
 
     __slots__ = ("dimensions", "lows", "highs", "ids", "segments", "end", "live")
 
@@ -136,6 +159,110 @@ class MemberArena:
         lows[:, : self.end] = self.lows[:, : self.end]
         highs[:, : self.end] = self.highs[:, : self.end]
         self.ids, self.lows, self.highs = ids, lows, highs
+
+    def verify(
+        self,
+        q_lows: np.ndarray,
+        q_highs: np.ndarray,
+        relation: SpatialRelation,
+        visit_q: np.ndarray,
+        visit_starts: np.ndarray,
+        visit_sizes: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Member ids that satisfy *relation*, grouped by query.
+
+        Visit ``v`` checks query row ``visit_q[v]`` of the ``(m, Nd)`` query
+        bounds against the columns ``[visit_starts[v], visit_starts[v] +
+        visit_sizes[v])``.  The visits expand into one (query, column) pair
+        list, walked one window of ``_PAIR_BLOCK`` pairs at a time and
+        narrowed a block of dimensions at a time: every dimension at once
+        for a small window, one per step for a large one, most selective
+        first, so pairs that fail an early dimension never pay for the
+        remaining ones.
+
+        Returns ``(ids, bounds)``: the ids query ``i`` matched are
+        ``ids[bounds[i]:bounds[i + 1]]``, in visit order and, within a
+        visit, in column order.
+        """
+        count = q_lows.shape[0]
+        dimensions = self.dimensions
+        member_lows_t, member_highs_t, member_ids = self.lows, self.highs, self.ids
+        # The visits' members form one ragged list of (query, column)
+        # pairs; pair p of a visit starting at list position s is column
+        # p + shift with shift = visit_starts[v] - s.
+        ends = visit_sizes.cumsum()
+        starts = ends - visit_sizes
+        total_pairs = int(ends[-1]) if ends.size else 0
+        shift = visit_starts - starts
+        q_lows_t = np.ascontiguousarray(q_lows.T)
+        q_highs_t = np.ascontiguousarray(q_highs.T)
+
+        def matches(dims: slice, obj_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
+            """``(dimensions, pairs)`` mask: which pairs pass which dimension of *dims*."""
+            obj_low = member_lows_t[dims].take(obj_rows, axis=1)
+            obj_high = member_highs_t[dims].take(obj_rows, axis=1)
+            query_low = q_lows_t[dims]
+            query_high = q_highs_t[dims]
+            if count > 1:
+                query_low = query_low.take(query_rows, axis=1)
+                query_high = query_high.take(query_rows, axis=1)
+            if relation is SpatialRelation.INTERSECTS:
+                return (obj_low <= query_high) & (query_low <= obj_high)
+            if relation is SpatialRelation.CONTAINED_BY:
+                return (query_low <= obj_low) & (obj_high <= query_high)
+            # CONTAINS
+            return (obj_low <= query_low) & (query_high <= obj_high)
+
+        # One dimension per step tests the most selective dimensions first
+        # (estimated once per call on a strided sample of the pair list) so
+        # the pairs shrink as fast as possible; the surviving set is the
+        # same whatever the order.
+        if total_pairs > 16_384:
+            sample = np.arange(0, total_pairs, max(1, total_pairs // 1024))
+            sample_visit = ends.searchsorted(sample, side="right")
+            sample_obj = sample + shift.take(sample_visit)
+            sample_q = visit_q.take(sample_visit)
+            sample_rates = matches(slice(None), sample_obj, sample_q).mean(axis=1)
+            dim_order = np.argsort(sample_rates, kind="stable")
+        else:
+            dim_order = np.arange(dimensions)
+
+        # Expand and narrow the pair list one window of _PAIR_BLOCK
+        # consecutive pairs at a time; survivors concatenate in visit
+        # order, exactly as if the whole list had been expanded at once.
+        kept_obj: List[np.ndarray] = []
+        kept_q: List[np.ndarray] = []
+        for begin in range(0, total_pairs, _PAIR_BLOCK):
+            stop = min(begin + _PAIR_BLOCK, total_pairs)
+            # Each visit's pairs inside [begin, stop): none for the visits
+            # outside the window.
+            run = np.minimum(ends, stop) - np.maximum(starts, begin)
+            np.maximum(run, 0, out=run)
+            window_q = visit_q.repeat(run)
+            window_obj = np.arange(begin, stop, dtype=np.int64) + shift.repeat(run)
+            step = max(1, _VERIFY_BLOCK // (stop - begin))
+            for first_dim in dim_order if step == 1 else range(0, dimensions, step):
+                if window_obj.size == 0:
+                    break
+                alive = matches(slice(first_dim, first_dim + step), window_obj, window_q)
+                survivors = (alive[0] if step == 1 else alive.all(axis=0)).nonzero()[0]
+                window_obj = window_obj.take(survivors)
+                window_q = window_q.take(survivors)
+            kept_obj.append(window_obj)
+            kept_q.append(window_q)
+
+        if kept_q:
+            pair_q = np.concatenate(kept_q)
+            # Stable sort by query preserves each query's visit/column order.
+            order = pair_q.argsort(kind="stable")
+            sorted_ids = member_ids.take(np.concatenate(kept_obj).take(order))
+            counts_per_query = np.bincount(pair_q, minlength=count)
+        else:
+            sorted_ids = np.empty(0, dtype=np.int64)
+            counts_per_query = np.zeros(count, dtype=np.int64)
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        counts_per_query.cumsum(out=bounds[1:])
+        return sorted_ids, bounds
 
     def check_invariants(self) -> None:
         """Segments are disjoint and in bounds, and at least half the arena is live."""

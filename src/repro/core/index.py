@@ -55,7 +55,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.api.protocol import BackendBase, Capabilities, QueryResult
-from repro.core.arena import MemberArena
+from repro.core.arena import _PAIR_BLOCK, MemberArena
 from repro.core.cluster import Cluster
 from repro.core.clustering_function import ClusteringFunction, interval_edges
 from repro.core.config import AdaptiveClusteringConfig
@@ -67,25 +67,6 @@ from repro.geometry.box import HyperRectangle, check_unit_domain
 from repro.geometry.relations import SpatialRelation
 from repro.storage import StorageBackend, storage_for_scenario
 
-
-#: Block size of the vectorised batch kernels, in array elements.  The
-#: verification cascade walks a chunk's (query, member) pairs in windows of
-#: at most this many pairs, bulk routing compares at most this many
-#: (object, cluster, dimension) bounds at once, a chunk holds at most this
-#: many (query, cluster) prune-mask cells and prunes as many dimensions per
-#: step as keep its (query, cluster, dimension) comparisons within it, and
-#: the pending ``q(s)`` visit log holds at most this many query bounds per
-#: side, so the working set of batch execution and bulk loading does not
-#: grow with the batch size or the database size.
-_PAIR_BLOCK = 131_072
-
-#: (dimension, pair) cells one step of the verification cascade tests at
-#: most, unless one dimension alone has more.  A small window tests every
-#: dimension in one step, since there the fixed cost of a step outweighs
-#: the pairs an early dimension would eliminate.  A window of more than half
-#: this many pairs tests one dimension per step, most selective first, so
-#: pairs that fail early never pay for the remaining dimensions.
-_VERIFY_BLOCK = 8_192
 
 #: Signature bounds, in the order of the stacked signature matrix.
 _SIGNATURE_BOUNDS = ("start_low", "start_high", "end_low", "end_high")
@@ -599,14 +580,6 @@ class AdaptiveClusteringIndex(BackendBase):
     # ==================================================================
     # Query execution (Fig. 5)
     # ==================================================================
-    def execute(
-        self,
-        query: HyperRectangle,
-        relation: "SpatialRelation | str" = SpatialRelation.INTERSECTS,
-    ) -> QueryResult:
-        """Execute one spatial selection: the one-query :meth:`execute_batch`."""
-        return self.execute_batch([query], relation)[0]
-
     def execute_batch(
         self,
         queries: Sequence[HyperRectangle],
@@ -693,12 +666,11 @@ class AdaptiveClusteringIndex(BackendBase):
            queries at once, testing as many dimensions per step as keep the
            (query, cluster, dimension) comparisons within ``_PAIR_BLOCK`` —
            all of them for a one-event publish, one for a large chunk;
-        2. member verification expands the surviving (query, cluster) pairs
-           into a (query, object) pair list, one window of ``_PAIR_BLOCK``
-           pairs at a time, and narrows each window a block of dimensions
-           at a time, sized like the prune step: every dimension at once
-           for a small window, one per step for a large one, so pairs that
-           fail an early dimension never pay for the remaining ones;
+        2. member verification hands the surviving (query, cluster) pairs,
+           as (query, segment) visits, to the arena's kernel
+           (:meth:`MemberArena.verify`), which expands them into (query,
+           object) pairs one window of ``_PAIR_BLOCK`` pairs at a time and
+           narrows each window a block of dimensions at a time;
         3. ``q(c)`` of every cluster grows by its visit count in one
            vectorised add, and the visits are appended to the pending
            ``q(s)`` log (see :meth:`_log_visits`), which is folded in per
@@ -744,8 +716,6 @@ class AdaptiveClusteringIndex(BackendBase):
 
         if not self._members_resident:
             self._load_members()
-        arena = self._arena
-        member_lows_t, member_highs_t, member_ids = arena.lows, arena.highs, arena.ids
         member_starts, sizes = self._member_segments[:, 0], self._member_segments[:, 2]
         groups_explored = explore.sum(axis=1)
         objects_verified = explore @ sizes
@@ -759,85 +729,16 @@ class AdaptiveClusteringIndex(BackendBase):
         self._cluster_statistics[:, 0] += visits_per_col
         self._log_visits(visit_col, q_lows, q_highs, visit_q, relation)
 
-        # ---- member verification: (query, object) pair cascade ----------
-        # The visits' members form one ragged list of (query, object) pairs;
-        # pair p of a visit starting at list position s is member column
-        # p + shift with shift = member_starts[col] - s.
-        lengths = sizes.take(visit_col)
-        ends = lengths.cumsum()
-        starts = ends - lengths
-        total_pairs = int(ends[-1]) if ends.size else 0
-        shift = member_starts.take(visit_col) - starts
-        q_lows_t = np.ascontiguousarray(q_lows.T)
-        q_highs_t = np.ascontiguousarray(q_highs.T)
-
-        def matches(dims: slice, obj_rows: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-            """``(dimensions, pairs)`` mask: which pairs pass which dimension of *dims*."""
-            obj_low = member_lows_t[dims].take(obj_rows, axis=1)
-            obj_high = member_highs_t[dims].take(obj_rows, axis=1)
-            query_low = q_lows_t[dims]
-            query_high = q_highs_t[dims]
-            if count > 1:
-                query_low = query_low.take(query_rows, axis=1)
-                query_high = query_high.take(query_rows, axis=1)
-            if relation is SpatialRelation.INTERSECTS:
-                return (obj_low <= query_high) & (query_low <= obj_high)
-            if relation is SpatialRelation.CONTAINED_BY:
-                return (query_low <= obj_low) & (obj_high <= query_high)
-            # CONTAINS
-            return (obj_low <= query_low) & (query_high <= obj_high)
-
-        # One dimension per step tests the most selective dimensions first
-        # (estimated once per chunk on a strided sample of the pair list) so
-        # the pairs shrink as fast as possible; the surviving set is the
-        # same whatever the order.
-        if total_pairs > 16_384:
-            sample = np.arange(0, total_pairs, max(1, total_pairs // 1024))
-            sample_visit = ends.searchsorted(sample, side="right")
-            sample_obj = sample + shift.take(sample_visit)
-            sample_q = visit_q.take(sample_visit)
-            sample_rates = matches(slice(None), sample_obj, sample_q).mean(axis=1)
-            dim_order = np.argsort(sample_rates, kind="stable")
-        else:
-            dim_order = np.arange(dimensions)
-
-        # Expand and narrow the pair list one window of _PAIR_BLOCK
-        # consecutive pairs at a time; survivors concatenate in visit
-        # order, exactly as if the whole list had been expanded at once.
-        kept_obj: List[np.ndarray] = []
-        kept_q: List[np.ndarray] = []
-        for begin in range(0, total_pairs, _PAIR_BLOCK):
-            stop = min(begin + _PAIR_BLOCK, total_pairs)
-            # Each visit's pairs inside [begin, stop): none for the visits
-            # outside the window.
-            run = np.minimum(ends, stop) - np.maximum(starts, begin)
-            np.maximum(run, 0, out=run)
-            window_q = visit_q.repeat(run)
-            window_obj = np.arange(begin, stop, dtype=np.int64) + shift.repeat(run)
-            step = max(1, _VERIFY_BLOCK // (stop - begin))
-            for first_dim in dim_order if step == 1 else range(0, dimensions, step):
-                if window_obj.size == 0:
-                    break
-                alive = matches(slice(first_dim, first_dim + step), window_obj, window_q)
-                survivors = (alive[0] if step == 1 else alive.all(axis=0)).nonzero()[0]
-                window_obj = window_obj.take(survivors)
-                window_q = window_q.take(survivors)
-            kept_obj.append(window_obj)
-            kept_q.append(window_q)
+        sorted_ids, bounds = self._arena.verify(
+            q_lows,
+            q_highs,
+            relation,
+            visit_q,
+            member_starts.take(visit_col),
+            sizes.take(visit_col),
+        )
 
         # ---- per-query results and counters -----------------------------
-        if kept_q:
-            pair_q = np.concatenate(kept_q)
-            # Stable sort by query preserves each query's cluster/member order.
-            order = pair_q.argsort(kind="stable")
-            sorted_ids = member_ids.take(np.concatenate(kept_obj).take(order))
-            counts_per_query = np.bincount(pair_q, minlength=count)
-        else:
-            sorted_ids = np.empty(0, dtype=np.int64)
-            counts_per_query = np.zeros(count, dtype=np.int64)
-        bounds = np.zeros(count + 1, dtype=np.int64)
-        counts_per_query.cumsum(out=bounds[1:])
-
         object_bytes = self._config.cost.object_bytes
         disk = self._config.scenario is StorageScenario.DISK
         per_query_ms = (time.perf_counter() - start) * 1000.0 / count

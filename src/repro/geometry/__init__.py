@@ -9,19 +9,14 @@ method in the library:
 * :class:`~repro.geometry.relations.SpatialRelation` — the query predicates
   supported by the paper (intersection, containment, enclosure and
   point-enclosing).
-* Vectorised predicate evaluation helpers in
-  :mod:`repro.geometry.vectorized` used by cluster / node member scans.
+* :func:`~repro.geometry.vectorized.matching_mask` — a relation evaluated
+  for many member objects against one query at once.
 """
 
 from repro.geometry.interval import Interval
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation, relate, satisfies
-from repro.geometry.vectorized import (
-    boxes_to_arrays,
-    matching_mask,
-    mbb_of,
-    volume_of_bounds,
-)
+from repro.geometry.vectorized import matching_mask
 
 __all__ = [
     "Interval",
@@ -29,8 +24,5 @@ __all__ = [
     "SpatialRelation",
     "relate",
     "satisfies",
-    "boxes_to_arrays",
     "matching_mask",
-    "mbb_of",
-    "volume_of_bounds",
 ]

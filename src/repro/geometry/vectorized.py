@@ -1,10 +1,11 @@
-"""Vectorised geometry helpers.
+"""Vectorised predicate evaluation.
 
-Clusters, R*-tree leaves and the sequential scan all need to verify *many*
-member objects against one query object.  Doing this per-object in pure
-Python is prohibitively slow, so member sets are kept as two ``(n, Nd)``
-NumPy arrays (``lows`` and ``highs``) and predicates are evaluated with
-vectorised comparisons.
+:func:`matching_mask` evaluates a spatial relation for every row of two
+``(n, Nd)`` bound arrays against one query.  The query engines verify
+members with their own column kernels (the AC index and the sequential scan
+share :meth:`repro.core.arena.MemberArena.verify`); this row-wise predicate
+serves the result cache, the query-workload generator and the test
+suites' reference loops.
 
 The cost model still charges the per-object verification cost for every
 object checked — the vectorisation is an implementation detail, not a change
@@ -13,34 +14,10 @@ to the paper's accounting.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
 import numpy as np
 
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
-
-
-def boxes_to_arrays(
-    boxes: Iterable[HyperRectangle],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack hyper-rectangles into ``(lows, highs)`` arrays of shape ``(n, Nd)``.
-
-    Raises
-    ------
-    ValueError
-        If the iterable is empty or the boxes disagree on dimensionality.
-    """
-    box_list: List[HyperRectangle] = list(boxes)
-    if not box_list:
-        raise ValueError("cannot stack an empty collection of boxes")
-    dims = box_list[0].dimensions
-    for box in box_list:
-        if box.dimensions != dims:
-            raise ValueError("all boxes must share the same dimensionality")
-    lows = np.vstack([box.lows for box in box_list])
-    highs = np.vstack([box.highs for box in box_list])
-    return lows, highs
 
 
 def matching_mask(
@@ -84,88 +61,3 @@ def matching_mask(
     if relation is SpatialRelation.CONTAINS:
         return np.all((lows <= q_lows) & (q_highs <= highs), axis=1)
     raise ValueError(f"unsupported relation: {relation!r}")
-
-
-#: Upper bound on the number of scalar comparisons evaluated at once by
-#: :func:`batch_matching_mask`; larger query batches are processed in slices
-#: so the boolean temporaries stay small enough for the CPU cache.
-_BATCH_ELEMENT_BUDGET = 4_000_000
-
-
-def batch_matching_mask(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    q_lows: np.ndarray,
-    q_highs: np.ndarray,
-    relation: SpatialRelation,
-) -> np.ndarray:
-    """Evaluate *relation* for every (query, object) pair in one broadcast.
-
-    Parameters
-    ----------
-    lows, highs:
-        Arrays of shape ``(n, Nd)`` holding the member objects' bounds.
-    q_lows, q_highs:
-        Arrays of shape ``(m, Nd)`` holding the query objects' bounds.
-    relation:
-        The spatial relation requested by every query of the batch.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean mask of shape ``(m, n)`` — row ``i`` is exactly
-        :func:`matching_mask` evaluated for query ``i``.
-    """
-    if lows.shape != highs.shape or lows.ndim != 2:
-        raise ValueError("expected object bounds of shape (n, Nd)")
-    if q_lows.shape != q_highs.shape or q_lows.ndim != 2:
-        raise ValueError("expected query bounds of shape (m, Nd)")
-    if lows.shape[1] != q_lows.shape[1]:
-        raise ValueError(
-            f"objects have {lows.shape[1]} dimensions, queries have "
-            f"{q_lows.shape[1]}"
-        )
-    m, n = q_lows.shape[0], lows.shape[0]
-    out = np.zeros((m, n), dtype=bool)
-    if m == 0 or n == 0:
-        return out
-    dims = lows.shape[1]
-    step = max(1, _BATCH_ELEMENT_BUDGET // max(n * dims, 1))
-    for start in range(0, m, step):
-        stop = min(start + step, m)
-        ql = q_lows[start:stop, None, :]
-        qh = q_highs[start:stop, None, :]
-        if relation is SpatialRelation.INTERSECTS:
-            out[start:stop] = np.all((lows[None] <= qh) & (ql <= highs[None]), axis=2)
-        elif relation is SpatialRelation.CONTAINED_BY:
-            out[start:stop] = np.all((ql <= lows[None]) & (highs[None] <= qh), axis=2)
-        elif relation is SpatialRelation.CONTAINS:
-            out[start:stop] = np.all((lows[None] <= ql) & (qh <= highs[None]), axis=2)
-        else:
-            raise ValueError(f"unsupported relation: {relation!r}")
-    return out
-
-
-def mbb_of(lows: np.ndarray, highs: np.ndarray) -> HyperRectangle:
-    """Minimum bounding box of a non-empty set of objects."""
-    if lows.shape[0] == 0:
-        raise ValueError("cannot compute the MBB of an empty set")
-    return HyperRectangle(lows.min(axis=0), highs.max(axis=0))
-
-
-def volume_of_bounds(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Per-row volumes for ``(n, Nd)`` bound arrays."""
-    if lows.shape != highs.shape:
-        raise ValueError("lows and highs must have identical shapes")
-    return np.prod(highs - lows, axis=1)
-
-
-def stack_bounds(
-    bounds: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate several ``(lows, highs)`` pairs along the row axis."""
-    if not bounds:
-        raise ValueError("nothing to stack")
-    lows = np.concatenate([pair[0] for pair in bounds], axis=0)
-    highs = np.concatenate([pair[1] for pair in bounds], axis=0)
-    return lows, highs

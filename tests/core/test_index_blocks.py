@@ -1,10 +1,11 @@
 """Block-boundary equivalence of the AC index's bounded-memory kernels.
 
-Batch execution walks (query, member) pairs in windows of
-``repro.core.index._PAIR_BLOCK`` pairs, bulk routing compares objects in
-slices sized by the same constant, the verification cascade tests as many
-dimensions per step as ``_VERIFY_BLOCK`` allows, and candidate object
-counting accumulates over ``repro.core.candidates._ROW_BLOCK`` rows.  Shrunk to a
+The arena's verification kernel walks (query, member) pairs in windows of
+``repro.core.arena._PAIR_BLOCK`` pairs and tests as many dimensions per
+step as ``_VERIFY_BLOCK`` allows; the index imports the same block size and
+sizes its prune steps, query chunks and bulk routing slices by it, and
+candidate object counting accumulates over
+``repro.core.candidates._ROW_BLOCK`` rows.  Shrunk to a
 handful of elements, every visit, object slice and candidate count straddles
 block boundaries; results, counters and statistics must still equal the
 per-query reference loop (``reference.py``) and a dense reference exactly.
@@ -17,6 +18,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.core import arena as arena_module
 from repro.core import candidates as candidates_module
 from repro.core import index as index_module
 from repro.core.candidates import CandidateSet
@@ -69,6 +71,12 @@ def build_index(dataset, relation, warmup=100):
     return index, queries
 
 
+def shrink_pair_block(monkeypatch, pair_block):
+    """Set ``_PAIR_BLOCK`` in the index and in the arena's verification kernel."""
+    monkeypatch.setattr(index_module, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(arena_module, "_PAIR_BLOCK", pair_block)
+
+
 def assert_same_state(loop_index, batch_index):
     assert batch_index.total_queries == loop_index.total_queries
     assert batch_index.reorganization_count == loop_index.reorganization_count
@@ -90,7 +98,7 @@ def assert_same_state(loop_index, batch_index):
 @pytest.mark.parametrize("pair_block, warmup", [(1, 100), (7, 100), (500, 100), (500, 0)])
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_batch_matches_loop_with_tiny_blocks(dataset, relation, pair_block, warmup, monkeypatch):
-    monkeypatch.setattr(index_module, "_PAIR_BLOCK", pair_block)
+    shrink_pair_block(monkeypatch, pair_block)
     monkeypatch.setattr(candidates_module, "_ROW_BLOCK", 3)
     base, queries = build_index(dataset, relation, warmup)
     stream = [queries[i % len(queries)] for i in range(40)]
@@ -109,7 +117,7 @@ def test_batch_matches_loop_with_tiny_blocks(dataset, relation, pair_block, warm
 
 @pytest.mark.parametrize("pair_block", [1, 7])
 def test_bulk_routing_matches_inserts_with_tiny_blocks(dataset, pair_block, monkeypatch):
-    monkeypatch.setattr(index_module, "_PAIR_BLOCK", pair_block)
+    shrink_pair_block(monkeypatch, pair_block)
     monkeypatch.setattr(candidates_module, "_ROW_BLOCK", 3)
     base, _ = build_index(dataset, SpatialRelation.INTERSECTS)
     assert base.n_clusters > 2
@@ -180,7 +188,7 @@ def test_partial_prune_width_matches_loop(relation, width, monkeypatch):
     batch_index = copy.deepcopy(base)
     for query in [queries[i % len(queries)] for i in range(40)]:
         # A prune step covers _PAIR_BLOCK // (queries × clusters) dimensions.
-        monkeypatch.setattr(index_module, "_PAIR_BLOCK", width * batch_index.n_clusters)
+        shrink_pair_block(monkeypatch, width * batch_index.n_clusters)
         (actual,) = batch_index.execute_batch([query], relation)
         expected = reference_execute(loop_index, query, relation)
         assert np.array_equal(expected.ids, actual.ids)
@@ -199,8 +207,8 @@ def test_partial_verify_width_matches_loop(relation, width, monkeypatch):
     batch_index = copy.deepcopy(base)
     # A step covers _VERIFY_BLOCK // (window pairs) dimensions: `width` on
     # every full window, more on a shorter last one.
-    monkeypatch.setattr(index_module, "_PAIR_BLOCK", 7)
-    monkeypatch.setattr(index_module, "_VERIFY_BLOCK", 7 * width)
+    shrink_pair_block(monkeypatch, 7)
+    monkeypatch.setattr(arena_module, "_VERIFY_BLOCK", 7 * width)
     stream = [queries[i % len(queries)] for i in range(40)]
     loop = [reference_execute(loop_index, query, relation) for query in stream]
     batch = batch_index.execute_batch(stream, relation)

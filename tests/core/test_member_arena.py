@@ -6,7 +6,9 @@ overflow, shrinking below half, merging into a parent without slack,
 compacting at the live-share floor and loading a lazily opened cluster)
 and, after every step, checks the index's invariants and that the batch
 engine answers like the paper's per-cluster loop (``reference.py``): same
-ids in the same order and the same core counters.
+ids in the same order and the same core counters.  ``TestSegment`` drives a
+segment on its own, as the sequential scan uses one, and ``TestVerify``
+checks the shared verification kernel visit by visit.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import arena as arena_module
 from repro.core.arena import MemberArena
 from repro.core.config import AdaptiveClusteringConfig
 from repro.core.cost_model import CostParameters
 from repro.core.index import AdaptiveClusteringIndex
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation
+from repro.geometry.vectorized import matching_mask
 from repro.storage.pagefile import LazyCluster, PagedStore
 from repro.workloads.queries import generate_query_workload
 from repro.workloads.uniform import generate_uniform_dataset
@@ -254,6 +258,14 @@ class TestSegment:
         segment.extend(np.arange(count, dtype=np.int64), bounds, bounds)
         return segment
 
+    def test_empty_until_the_first_append(self):
+        segment = MemberArena(3).segment(0)
+        assert (len(segment), segment.capacity) == (0, 0)
+        assert segment.ids.shape == (0,)
+        assert segment.lows.shape == segment.highs.shape == (0, 3)
+        segment.append(1, HyperRectangle.unit(3))
+        assert (len(segment), segment.capacity) == (1, 8)
+
     def test_extend(self):
         segment = self.filled(5, dimensions=2)
         assert len(segment) == 5
@@ -275,12 +287,47 @@ class TestSegment:
         with pytest.raises(IndexError):
             segment.object_at(1)
 
+    def test_appends_relocate_and_keep_the_order(self):
+        segment = MemberArena(1).segment(0)
+        relocations = [segment.append(i, HyperRectangle([0.1], [0.2])) for i in range(20)]
+        # 8 slots, then ceil(8 * 1.25) = 10, 13, 17 and 22.
+        assert [i for i, moved in enumerate(relocations) if moved] == [0, 8, 10, 13, 17]
+        assert segment.ids.tolist() == list(range(20))
+        assert segment.highs[:, 0].tolist() == [0.2] * 20
+
+    def test_append_wrong_dimensions(self):
+        segment = MemberArena(2).segment(0)
+        with pytest.raises(ValueError):
+            segment.append(1, HyperRectangle([0.1], [0.2]))
+        assert len(segment) == 0
+
+    def test_remove_mask_wrong_length(self):
+        segment = self.filled(10)
+        with pytest.raises(ValueError):
+            segment.remove_mask(np.zeros(3, dtype=bool))
+        assert len(segment) == 10
+
     def test_remove_id_moves_the_last_member_into_the_gap(self):
         segment = self.filled(10)
         removed = segment.remove_id(3)
         assert removed.lows[0] == pytest.approx(np.linspace(0.0, 1.0, 10)[3])
         assert segment.ids.tolist() == [0, 1, 2, 9, 4, 5, 6, 7, 8]
         assert segment.remove_id(99) is None
+
+    def test_remove_the_last_member(self):
+        segment = self.filled(10)
+        removed = segment.remove_id(9)
+        assert removed.highs[0] == pytest.approx(1.0)
+        assert segment.ids.tolist() == list(range(9))
+        assert segment.highs[:, 0].tolist() == np.linspace(0.0, 1.0, 10)[:9].tolist()
+
+    def test_remove_mask_compacts_around_scattered_removals(self):
+        segment = self.filled(10)
+        ids, lows, highs = segment.remove_mask(segment.ids % 2 == 0)
+        assert ids.tolist() == [0, 2, 4, 6, 8]
+        assert lows.shape == highs.shape == (5, 1)
+        assert segment.ids.tolist() == [1, 3, 5, 7, 9]
+        assert segment.lows[:, 0].tolist() == np.linspace(0.0, 1.0, 10)[1::2].tolist()
 
     def test_remove_mask_keeps_the_order_and_shrinks_below_half(self):
         segment = self.filled(100)
@@ -290,6 +337,25 @@ class TestSegment:
         assert segment.capacity == 50  # ceil(40 * 1.25)
         assert segment.ids.tolist() == list(range(40))
         assert segment.lows[:, 0].tolist() == np.linspace(0.0, 1.0, 100)[:40].tolist()
+
+    def test_removals_above_half_keep_the_slots(self):
+        segment = self.filled(100)
+        for object_id in range(99, 69, -1):
+            segment.remove_id(object_id)
+        segment.remove_mask(segment.ids >= 50)
+        assert (len(segment), segment.capacity) == (50, 100)
+        segment.remove_id(0)  # 49 of 100: below half
+        assert segment.capacity == 62  # ceil(49 * 1.25)
+        assert sorted(segment.ids.tolist()) == list(range(1, 50))
+
+    def test_regrowth_after_shrinking(self):
+        segment = self.filled(100)
+        segment.remove_mask(segment.ids >= 10)
+        for object_id in range(100, 200):
+            segment.append(object_id, HyperRectangle([0.0], [1.0]))
+        assert len(segment) == 110
+        assert segment.ids.tolist() == list(range(10)) + list(range(100, 200))
+        segment.arena.check_invariants()
 
     def test_drain_releases_the_slots(self):
         segment = self.filled(100)
@@ -325,3 +391,102 @@ class TestSegment:
         arena.live -= 10
         with pytest.raises(AssertionError, match="live count"):
             arena.check_invariants()
+
+
+class TestVerify:
+    """:meth:`MemberArena.verify` against :func:`matching_mask`, visit by visit.
+
+    Three segments, one relocated behind the others so its old columns are
+    a hole.  Each query visits whole segments, a slice inside one and an
+    empty slice; the visits of different queries interleave, and the last
+    query has none.
+    """
+
+    DIMENSIONS = 3
+
+    @classmethod
+    def arena(cls, rng):
+        arena = MemberArena(cls.DIMENSIONS)
+        segments = [arena.segment(key) for key in range(3)]
+        for key, segment in enumerate(segments):
+            count = 30 + 10 * key
+            lows = rng.random((count, cls.DIMENSIONS)) * 0.8
+            extents = rng.random((count, cls.DIMENSIONS)) * 0.4
+            segment.extend(np.arange(count) + 100 * key, lows, lows + extents)
+        for object_id in range(60, 80):
+            segments[0].append(object_id, HyperRectangle([0.2] * 3, [0.7] * 3))
+        arena.check_invariants()
+        return arena, segments
+
+    @classmethod
+    def queries(cls, rng, count):
+        lows = rng.random((count, cls.DIMENSIONS)) * 0.6
+        extents = np.array([0.0, 0.05, 0.7])[np.arange(count) % 3, None]
+        return [HyperRectangle(low, low + extent) for low, extent in zip(lows, extents)]
+
+    @staticmethod
+    def visits(rng, segments, count):
+        """``(query row, start column, size)`` triples in an interleaved order."""
+        visits = []
+        for row in range(count - 1):
+            order = rng.permutation(len(segments))
+            for key in order:
+                start, _, size = segments[key].bounds.tolist()
+                visits.append((row, start, size))
+            start, _, size = segments[int(order[0])].bounds.tolist()
+            visits.append((row, start + 5, size - 12))
+            visits.append((row, start, 0))
+        order = rng.permutation(len(visits))
+        return [visits[v] for v in order]
+
+    @pytest.mark.parametrize("relation", list(SpatialRelation))
+    @pytest.mark.parametrize(
+        "count, pair_block",
+        [(4, None), (120, 5_000)],
+        ids=["dimensions_at_once", "one_dimension_per_step"],
+    )
+    def test_matches_a_per_visit_loop(self, relation, count, pair_block, monkeypatch):
+        """Few pairs test every dimension in one step; many pairs (over the
+        sampling threshold, in several windows too wide for two dimensions
+        a step) one dimension per step, most selective first."""
+        if pair_block is not None:
+            monkeypatch.setattr(arena_module, "_PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(17)
+        arena, segments = self.arena(rng)
+        queries = self.queries(rng, count)
+        visits = self.visits(rng, segments, count)
+        visit_q, visit_starts, visit_sizes = (
+            np.array(column, dtype=np.int64) for column in zip(*visits)
+        )
+        if pair_block is not None:
+            assert int(visit_sizes.sum()) > 16_384
+
+        ids, bounds = arena.verify(
+            np.array([query.lows for query in queries]),
+            np.array([query.highs for query in queries]),
+            relation,
+            visit_q,
+            visit_starts,
+            visit_sizes,
+        )
+
+        expected = [[] for _ in queries]
+        for row, start, size in visits:
+            columns = slice(start, start + size)
+            lows, highs = arena.lows[:, columns].T, arena.highs[:, columns].T
+            mask = matching_mask(lows, highs, queries[row], relation)
+            expected[row].extend(arena.ids[columns][mask].tolist())
+        assert sum(map(len, expected)) > 0
+        assert bounds.tolist() == np.cumsum([0] + [len(found) for found in expected]).tolist()
+        for row, found in enumerate(expected):
+            assert ids[bounds[row] : bounds[row + 1]].tolist() == found
+        assert bounds[-1] == bounds[-2], "the last query has no visits"
+
+    def test_no_visits(self):
+        arena, _ = self.arena(np.random.default_rng(3))
+        none = np.empty(0, dtype=np.int64)
+        ids, bounds = arena.verify(
+            np.zeros((2, 3)), np.ones((2, 3)), SpatialRelation.INTERSECTS, none, none, none
+        )
+        assert ids.shape == (0,)
+        assert bounds.tolist() == [0, 0, 0]

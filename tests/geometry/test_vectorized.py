@@ -5,13 +5,11 @@ import pytest
 
 from repro.geometry.box import HyperRectangle
 from repro.geometry.relations import SpatialRelation, satisfies
-from repro.geometry.vectorized import (
-    boxes_to_arrays,
-    matching_mask,
-    mbb_of,
-    stack_bounds,
-    volume_of_bounds,
-)
+from repro.geometry.vectorized import matching_mask
+
+
+def stacked_bounds(boxes):
+    return np.array([box.lows for box in boxes]), np.array([box.highs for box in boxes])
 
 
 @pytest.fixture
@@ -24,33 +22,18 @@ def boxes():
     ]
 
 
-class TestBoxesToArrays:
-    def test_shapes(self, boxes):
-        lows, highs = boxes_to_arrays(boxes)
-        assert lows.shape == (4, 2)
-        assert highs.shape == (4, 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            boxes_to_arrays([])
-
-    def test_mixed_dimensionality_rejected(self, boxes):
-        with pytest.raises(ValueError):
-            boxes_to_arrays(boxes + [HyperRectangle([0.0], [1.0])])
-
-
 class TestMatchingMask:
     @pytest.mark.parametrize("relation", list(SpatialRelation))
     def test_agrees_with_scalar_predicates(self, boxes, relation):
         query = HyperRectangle([0.3, 0.3], [0.65, 0.65])
-        lows, highs = boxes_to_arrays(boxes)
+        lows, highs = stacked_bounds(boxes)
         mask = matching_mask(lows, highs, query, relation)
         expected = [satisfies(box, query, relation) for box in boxes]
         assert mask.tolist() == expected
 
     def test_point_query(self, boxes):
         point = HyperRectangle.from_point([0.5, 0.5])
-        lows, highs = boxes_to_arrays(boxes)
+        lows, highs = stacked_bounds(boxes)
         mask = matching_mask(lows, highs, point, SpatialRelation.CONTAINS)
         expected = [box.contains_point([0.5, 0.5]) for box in boxes]
         assert mask.tolist() == expected
@@ -63,7 +46,7 @@ class TestMatchingMask:
         assert mask.shape == (0,)
 
     def test_dimension_mismatch(self, boxes):
-        lows, highs = boxes_to_arrays(boxes)
+        lows, highs = stacked_bounds(boxes)
         with pytest.raises(ValueError):
             matching_mask(lows, highs, HyperRectangle([0], [1]), SpatialRelation.INTERSECTS)
 
@@ -73,32 +56,3 @@ class TestMatchingMask:
                 np.zeros((2, 2)), np.zeros((3, 2)),
                 HyperRectangle([0, 0], [1, 1]), SpatialRelation.INTERSECTS,
             )
-
-
-class TestAggregates:
-    def test_mbb_of(self, boxes):
-        lows, highs = boxes_to_arrays(boxes)
-        mbb = mbb_of(lows, highs)
-        assert mbb.lows.tolist() == pytest.approx([0.0, 0.0])
-        assert mbb.highs.tolist() == pytest.approx([0.9, 0.9])
-        for box in boxes:
-            assert mbb.contains(box)
-
-    def test_mbb_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mbb_of(np.empty((0, 2)), np.empty((0, 2)))
-
-    def test_volume_of_bounds(self, boxes):
-        lows, highs = boxes_to_arrays(boxes)
-        volumes = volume_of_bounds(lows, highs)
-        assert volumes.tolist() == pytest.approx([box.volume() for box in boxes])
-
-    def test_stack_bounds(self, boxes):
-        lows, highs = boxes_to_arrays(boxes)
-        stacked_lows, stacked_highs = stack_bounds([(lows[:2], highs[:2]), (lows[2:], highs[2:])])
-        assert np.array_equal(stacked_lows, lows)
-        assert np.array_equal(stacked_highs, highs)
-
-    def test_stack_bounds_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stack_bounds([])
